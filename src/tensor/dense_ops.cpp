@@ -93,7 +93,6 @@ void gemm(const MTensor& a, bool trans_a, const MTensor& b, bool trans_b,
     float* crow = acc.data() + i * n;
     for (std::int64_t kk = 0; kk < k; ++kk) {
       const float av = arow[kk];
-      if (av == 0.0f) continue;
       const float* brow = bf.data() + kk * n;
       for (std::int64_t j = 0; j < n; ++j) {
         crow[j] += av * brow[j];

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "tensor/dense_ops.hpp"
 
@@ -92,6 +93,41 @@ TEST(DenseOps, HalfGemmAccumulatesInFloat) {
   MTensor c16 = MTensor::f16(1, 1);
   gemm(a, false, b, false, c16, nullptr);
   EXPECT_TRUE(c16.h()[0].is_inf());  // only the final store rounds
+}
+
+TEST(DenseOps, GemmZeroTimesInfIsNaN) {
+  // IEEE: 0 x Inf and 0 x NaN are NaN. A zero activation meeting an
+  // overflowed operand must poison the output element, not vanish.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const Dtype dt : {Dtype::kF32, Dtype::kF16}) {
+    for (int ta = 0; ta < 2; ++ta) {
+      for (int tb = 0; tb < 2; ++tb) {
+        // op(A) = [0 1], op(B) = [[bad], [2]] for bad in {Inf, NaN}.
+        for (const float bad : {inf, nan}) {
+          MTensor a = MTensor::zeros(dt, ta ? 2 : 1, ta ? 1 : 2);
+          MTensor b = MTensor::zeros(dt, tb ? 1 : 2, tb ? 2 : 1);
+          a.set(ta ? 1 : 0, ta ? 0 : 1, 1.0f);
+          b.set(0, 0, bad);
+          b.set(tb ? 0 : 1, tb ? 1 : 0, 2.0f);
+          MTensor c = MTensor::zeros(dt, 1, 1);
+          gemm(a, ta != 0, b, tb != 0, c, nullptr);
+          EXPECT_TRUE(std::isnan(c.get(0, 0)))
+              << dtype_name(dt) << " ta=" << ta << " tb=" << tb
+              << " bad=" << bad;
+          // Same with the zero on the B side.
+          MTensor a2 = MTensor::zeros(dt, ta ? 2 : 1, ta ? 1 : 2);
+          MTensor b2 = MTensor::zeros(dt, tb ? 1 : 2, tb ? 2 : 1);
+          a2.set(0, 0, bad);
+          c.fill(1.0f);
+          gemm(a2, ta != 0, b2, tb != 0, c, nullptr);
+          EXPECT_TRUE(std::isnan(c.get(0, 0)))
+              << dtype_name(dt) << " ta=" << ta << " tb=" << tb
+              << " bad=" << bad << " (zero in B)";
+        }
+      }
+    }
+  }
 }
 
 TEST(DenseOps, ReluRoundTrip) {
