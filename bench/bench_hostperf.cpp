@@ -12,6 +12,11 @@
 // Modeled numbers (time_ms etc.) are *not* the subject here — they must be
 // bit-identical no matter how fast the host is; host_ms is the metric.
 //
+// The dense host path is benched the same way: the 12 gemms of one GIN /
+// reddit-sim training step (f16 operands, 40% zero activations), grouped
+// by role, on the same device's pool, plus the whole mix on a one-thread
+// pool with each gemm core for the same-run gemm_simd_ratio.
+//
 // Usage: bench_hostperf [output.json]  (default: BENCH_hostperf.json in cwd)
 #include <chrono>
 #include <cmath>
@@ -33,6 +38,7 @@
 #include "obs/report.hpp"
 #include "simt/simd.hpp"
 #include "simt/simt.hpp"
+#include "tensor/dense_ops.hpp"
 
 namespace hg::bench {
 namespace {
@@ -152,7 +158,8 @@ int run(const std::string& path) {
                {{"host_ms", CellFmt::kRaw},
                 {"edges_per_s", CellFmt::kRaw},
                 {"lane_ops_per_s", CellFmt::kRaw},
-                {"modeled_ms", CellFmt::kRaw}});
+                {"modeled_ms", CellFmt::kRaw},
+                {"gflop_per_s", CellFmt::kRaw}});
   t.report().meta("dataset", short_name(d));
   t.report().meta("vertices", static_cast<std::int64_t>(d.num_vertices()));
   t.report().meta("edges", static_cast<std::int64_t>(d.num_edges()));
@@ -183,6 +190,105 @@ int run(const std::string& path) {
       if (profiled && c.name == "spmm_halfgnn") spmm_profiled_ms = r.host_ms;
       if (!profiled && c.name == "spmm_halfgnn") spmm_train_ms = r.host_ms;
     }
+  }
+
+  // Dense gemm rows: one GIN / reddit-sim step's gemms (2 layers, features
+  // 128, hidden 64, 41 classes padded to 48). Forward x W, weight grads
+  // x^T dy into f32, input grads dy W^T.
+  {
+    struct GemmShape {
+      const char* role;
+      std::int64_t m, k, n;
+      bool ta, tb;
+    };
+    constexpr std::int64_t kV = 6000;
+    const GemmShape shapes[] = {
+        {"gemm_fwd", kV, 128, 64, false, false},
+        {"gemm_fwd", kV, 64, 64, false, false},
+        {"gemm_fwd", kV, 64, 64, false, false},
+        {"gemm_fwd", kV, 64, 48, false, false},
+        {"gemm_wgrad", 128, kV, 64, true, false},
+        {"gemm_wgrad", 64, kV, 64, true, false},
+        {"gemm_wgrad", 64, kV, 64, true, false},
+        {"gemm_wgrad", 64, kV, 48, true, false},
+        {"gemm_dgrad", kV, 48, 64, false, true},
+        {"gemm_dgrad", kV, 64, 64, false, true},
+        {"gemm_dgrad", kV, 64, 64, false, true},
+        {"gemm_dgrad", kV, 64, 128, false, true},
+    };
+    struct Gemm {
+      std::string role;
+      MTensor a, b, c;
+      bool ta, tb;
+      double flop;
+    };
+    std::vector<Gemm> gemms;
+    Rng rng(11);
+    // Activations (the m x k side) are 40% exact zeros, like post-ReLU
+    // features; weights are dense.
+    const auto fill = [&rng](MTensor& x, bool sparse) {
+      for (auto& v : x.h()) {
+        v = sparse && rng.next_float() < 0.4f
+                ? half_t(0.0f)
+                : half_t(rng.next_float() * 2 - 1);
+      }
+    };
+    for (const GemmShape& s : shapes) {
+      Gemm g{s.role,
+             s.ta ? MTensor::f16(s.k, s.m) : MTensor::f16(s.m, s.k),
+             s.tb ? MTensor::f16(s.n, s.k) : MTensor::f16(s.k, s.n),
+             s.ta ? MTensor::f32(s.m, s.n) : MTensor::f16(s.m, s.n),
+             s.ta,
+             s.tb,
+             2.0 * static_cast<double>(s.m * s.k * s.n)};
+      fill(g.a, true);
+      fill(g.b, s.ta);  // a weight gradient's dy is an activation too
+      gemms.push_back(std::move(g));
+    }
+    // Min over reps of the summed wall time of the gemms with `role`
+    // ("" = all of them) on `pool`, and their total flop.
+    const auto time_role = [&](simt::Device& pool, const std::string& role) {
+      const DensePoolScope scope(pool);
+      double best = std::numeric_limits<double>::infinity(), flop = 0;
+      for (int r = 0; r < reps; ++r) {
+        double ms = 0;
+        flop = 0;
+        for (Gemm& g : gemms) {
+          if (!role.empty() && g.role != role) continue;
+          const auto t0 = std::chrono::steady_clock::now();
+          gemm(g.a, g.ta, g.b, g.tb, g.c, nullptr);
+          ms += std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+          flop += g.flop;
+        }
+        best = std::min(best, ms);
+      }
+      return std::pair<double, double>{best, flop};
+    };
+    const auto gemm_row = [&](const std::string& id,
+                              std::pair<double, double> r) {
+      t.row(id, {r.first, kNaN, kNaN, kNaN,
+                 r.first > 0 ? r.second / (r.first * 1e6) : kNaN});
+    };
+    for (const char* role : {"gemm_fwd", "gemm_wgrad", "gemm_dgrad"}) {
+      gemm_row(std::string(role) + " train", time_role(dev, role));
+    }
+    gemm_row("gemm_gin_mix train", time_role(dev, ""));
+    // The SIMD ratio compares the two gemm cores on a one-thread pool, so
+    // it does not move with how many cores the host grants each half of
+    // the measurement. Gated as a same-run ratio like the SpMM one below.
+    simt::Device one(simt::a100_spec(), 1);
+    const auto mix_1t = time_role(one, "");
+    gemm_row("gemm_gin_mix_1t train", mix_1t);
+    const simt::simd::Path active = simt::simd::active_path();
+    simt::simd::set_path(simt::simd::Path::kScalar);
+    const auto scalar_1t = time_role(one, "");
+    simt::simd::set_path(active);
+    gemm_row("gemm_gin_mix_scalar_1t train", scalar_1t);
+    t.report().summary("gemm_simd_ratio", scalar_1t.first > 0
+                                              ? mix_1t.first / scalar_1t.first
+                                              : kNaN);
   }
 
   // Forced-scalar reference row for the tentpole kernel: every report

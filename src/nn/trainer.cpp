@@ -159,6 +159,8 @@ TrainResult train(ModelKind kind, SystemMode mode, const Dataset& d,
   // run. Every guard decision below also lands in its audit log.
   simt::Stream& stream =
       cfg.stream != nullptr ? *cfg.stream : simt::default_stream();
+  // The host dense ops share the pool of the device that runs the kernels.
+  const DensePoolScope dense_pool(stream.device());
   obs::prof::Profiler& prof = stream.device().profiler();
   const bool prof_numerics = prof.active() && prof.config().numerics();
   if (use_guard) guard.set_profiler(&prof);

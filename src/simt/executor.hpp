@@ -174,8 +174,19 @@ class Device {
   // Runs fn(0..jobs-1) across the pool; the calling thread participates.
   // Job indices are claimed dynamically, so callers must write results to
   // per-job slots and merge in index order. Worker exceptions rethrow here.
-  // The caller must hold the launch mutex (Stream does).
+  // The caller must hold the launch mutex (Stream does; host work takes it
+  // through try_claim_pool).
   void run_jobs(int jobs, const std::function<void(int)>& fn);
+
+  // Claims the pool for host data-parallel work that is not a kernel launch
+  // (the dense ops in src/tensor call run_jobs under it). The lock owns the
+  // launch mutex when it was free; while a launch holds it, the lock owns
+  // nothing and the caller runs its jobs on its own thread instead. No
+  // fault, sanitizer, profiler or watchdog state is armed for such work.
+  // Must not be called from inside a kernel body.
+  std::unique_lock<std::mutex> try_claim_pool() {
+    return std::unique_lock<std::mutex>(launch_mu_, std::try_to_lock);
+  }
 
   // Reusable per-shard staging arena (bytes survive across launches so
   // repeated conflict launches do not re-fault pages).

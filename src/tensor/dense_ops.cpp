@@ -2,40 +2,222 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <mutex>
 #include <stdexcept>
+#include <type_traits>
+
+#include "simt/executor.hpp"
+#include "simt/simd.hpp"
+#include "tensor/dense_kernels.hpp"
 
 namespace hg {
 
 namespace {
 
-// Materialize op(T) as a row-major float matrix for the fast GEMM core.
-std::vector<float> materialize(const MTensor& t, bool trans) {
-  const auto r = static_cast<std::size_t>(t.rows());
-  const auto c = static_cast<std::size_t>(t.cols());
-  std::vector<float> out(r * c);
-  if (!trans) {
-    if (t.dtype() == Dtype::kF32) {
-      const auto s = t.f();
-      std::copy(s.begin(), s.end(), out.begin());
-    } else if (t.dtype() == Dtype::kF16) {
-      const auto s = t.h();
-      for (std::size_t i = 0; i < s.size(); ++i) out[i] = s[i].to_float();
-    } else {
-      const auto s = t.b();
-      for (std::size_t i = 0; i < s.size(); ++i) out[i] = s[i].to_float();
-    }
-  } else {
-    for (std::size_t i = 0; i < r; ++i) {
-      for (std::size_t j = 0; j < c; ++j) {
-        out[j * r + i] = t.get(static_cast<std::int64_t>(i),
-                               static_cast<std::int64_t>(j));
-      }
+thread_local simt::Device* t_pool_device = nullptr;
+
+simt::Device& pool_device() {
+  return t_pool_device != nullptr ? *t_pool_device : simt::default_device();
+}
+
+// Runs fn(0..jobs-1) on the pool. Every job owns its outputs, so running
+// them serially (one-thread pool, or the pool busy with a launch on
+// another thread) gives the same bits.
+void run_jobs(int jobs, const std::function<void(int)>& fn) {
+  simt::Device& dev = pool_device();
+  if (jobs > 1 && dev.threads() > 1) {
+    const std::unique_lock<std::mutex> pool = dev.try_claim_pool();
+    if (pool.owns_lock()) {
+      dev.run_jobs(jobs, fn);
+      return;
     }
   }
-  return out;
+  for (int j = 0; j < jobs; ++j) fn(j);
+}
+
+std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
+  return (a + b - 1) / b;
+}
+
+// Elementwise ops: fixed blocks of this many elements per job.
+constexpr std::int64_t kElemsPerJob = std::int64_t{1} << 14;
+
+using RangeFn = std::function<void(std::int64_t, std::int64_t)>;
+
+// fn(begin, end) over [0, n) in blocks of `block`.
+void for_blocks(std::int64_t n, std::int64_t block, const RangeFn& fn) {
+  const std::int64_t jobs = ceil_div(n, block);
+  run_jobs(static_cast<int>(jobs), [&](int j) {
+    const std::int64_t b = j * block;
+    fn(b, std::min(n, b + block));
+  });
+}
+
+// fn(first_row, end_row) over row blocks of about kElemsPerJob elements.
+void for_row_blocks(const MTensor& x, const RangeFn& fn) {
+  const std::int64_t cols = std::max<std::int64_t>(1, x.cols());
+  for_blocks(x.rows(), std::max<std::int64_t>(1, kElemsPerJob / cols), fn);
+}
+
+// Calls fn with x's storage as a typed (const if x is) pointer.
+template <class M, class F>
+void visit(M& x, F&& fn) {
+  switch (x.dtype()) {
+    case Dtype::kF16: fn(x.h().data()); break;
+    case Dtype::kBf16: fn(x.b().data()); break;
+    default: fn(x.f().data()); break;
+  }
+}
+
+inline float to_f(float v) { return v; }
+inline float to_f(half_t v) { return v.to_float(); }
+inline float to_f(bf16_t v) { return v.to_float(); }
+
+// Stores a float into T with T's rounding (identity for float).
+template <class T>
+T from_f(float v) {
+  if constexpr (std::is_same_v<T, float>) {
+    return v;
+  } else {
+    return T(v);
+  }
+}
+
+// ---- gemm ------------------------------------------------------------------
+
+// Problems below this many multiply-adds run as one job on the caller.
+constexpr std::int64_t kMinPoolMacs = std::int64_t{1} << 16;
+// Tiles are not split below this many multiply-adds.
+constexpr std::int64_t kMinJobMacs = std::int64_t{1} << 15;
+
+struct Tiling {
+  std::int64_t mt, nt;  // tile extent (edge tiles are smaller)
+  std::int64_t row_tiles, col_tiles;
+};
+
+// Output tiles of at most 64 x 128, halved along the longer side (rows in
+// steps of 4, columns of 16 — the AVX2 microkernel's shape) until there are
+// two jobs per pool thread or a tile would fall below kMinJobMacs. A small
+// problem that fits one such tile is one job. Only host time depends on
+// the tiling; every element's arithmetic is fixed.
+Tiling gemm_tiling(std::int64_t m, std::int64_t n, std::int64_t k,
+                   int threads) {
+  Tiling t{m, n, 1, 1};
+  if (m * n <= 64 * 128 && m * n * k < kMinPoolMacs) return t;
+  t.mt = std::min<std::int64_t>(m, 64);
+  t.nt = std::min<std::int64_t>(n, 128);
+  const auto round_up = [](std::int64_t v, std::int64_t q) {
+    return ceil_div(v, q) * q;
+  };
+  while (ceil_div(m, t.mt) * ceil_div(n, t.nt) < 2 * threads &&
+         t.mt * t.nt * k >= 2 * kMinJobMacs) {
+    const std::int64_t mh = round_up(ceil_div(t.mt, 2), 4);
+    const std::int64_t nh = round_up(ceil_div(t.nt, 2), 16);
+    const bool split_m = mh < t.mt, split_n = nh < t.nt;
+    if (split_m && (t.mt >= t.nt || !split_n)) {
+      t.mt = mh;
+    } else if (split_n) {
+      t.nt = nh;
+    } else {
+      break;
+    }
+  }
+  t.row_tiles = ceil_div(m, t.mt);
+  t.col_tiles = ceil_div(n, t.nt);
+  return t;
+}
+
+dense::GemmTileFn gemm_core() {
+  static const dense::GemmTileFn avx2 = dense::gemm_tile_avx2_or_null();
+  if (avx2 != nullptr &&
+      simt::simd::active_path() == simt::simd::Path::kAvx2) {
+    return avx2;
+  }
+  return &dense::gemm_tile_scalar;
 }
 
 }  // namespace
+
+namespace dense {
+
+namespace {
+
+// out[(r - r0) * (c1 - c0) + (c - c0)] = op(T)(r, c), as float.
+template <class T>
+void load_panel(const Operand& o, std::int64_t r0, std::int64_t r1,
+                std::int64_t c0, std::int64_t c1, float* out) {
+  const T* p = static_cast<const T*>(o.data);
+  for (std::int64_t r = r0; r < r1; ++r) {
+    for (std::int64_t c = c0; c < c1; ++c) {
+      *out++ = to_f(o.trans ? p[c * o.ld + r] : p[r * o.ld + c]);
+    }
+  }
+}
+
+void load_panel(const Operand& o, std::int64_t r0, std::int64_t r1,
+                std::int64_t c0, std::int64_t c1, std::vector<float>& out) {
+  out.resize(static_cast<std::size_t>((r1 - r0) * (c1 - c0)));
+  switch (o.dtype) {
+    case Dtype::kF16:
+      load_panel<half_t>(o, r0, r1, c0, c1, out.data());
+      break;
+    case Dtype::kBf16:
+      load_panel<bf16_t>(o, r0, r1, c0, c1, out.data());
+      break;
+    default:
+      load_panel<float>(o, r0, r1, c0, c1, out.data());
+      break;
+  }
+}
+
+template <class T>
+void store_row(void* c, std::int64_t off, const std::vector<float>& acc) {
+  T* dst = static_cast<T*>(c) + off;
+  for (const float v : acc) *dst++ = from_f<T>(v);
+}
+
+}  // namespace
+
+// The i-k-j reference: per output row, acc = +0, then acc += a(i,k) * b(k,:)
+// for k ascending, with the pinned mul/add of the NaN rule.
+void gemm_tile_scalar(const GemmDesc& g, std::int64_t i0, std::int64_t i1,
+                      std::int64_t j0, std::int64_t j1) {
+  thread_local std::vector<float> ap, bp, acc;
+  const std::int64_t nt = j1 - j0;
+  load_panel(g.b, 0, g.k, j0, j1, bp);
+  for (std::int64_t i = i0; i < i1; ++i) {
+    load_panel(g.a, i, i + 1, 0, g.k, ap);
+    acc.assign(static_cast<std::size_t>(nt), 0.0f);
+    for (std::int64_t kk = 0; kk < g.k; ++kk) {
+      const float av = ap[static_cast<std::size_t>(kk)];
+      const float* brow = bp.data() + kk * nt;
+      for (std::int64_t j = 0; j < nt; ++j) {
+        auto& cj = acc[static_cast<std::size_t>(j)];
+        cj = ordered_fadd(cj, ordered_fmul(av, brow[j]));
+      }
+    }
+    const std::int64_t off = i * g.n + j0;
+    switch (g.c_dtype) {
+      case Dtype::kF16: store_row<half_t>(g.c, off, acc); break;
+      case Dtype::kBf16: store_row<bf16_t>(g.c, off, acc); break;
+      default: store_row<float>(g.c, off, acc); break;
+    }
+  }
+}
+
+#ifndef HALFGNN_SIMD_AVX2
+GemmTileFn gemm_tile_avx2_or_null() noexcept { return nullptr; }
+#endif
+
+}  // namespace dense
+
+DensePoolScope::DensePoolScope(simt::Device& dev) noexcept
+    : prev_(t_pool_device) {
+  t_pool_device = &dev;
+}
+
+DensePoolScope::~DensePoolScope() { t_pool_device = prev_; }
 
 MTensor to_dtype(const MTensor& in, Dtype dt, CostLedger* ledger) {
   MTensor out = MTensor::zeros(dt, in.rows(), in.cols());
@@ -82,32 +264,24 @@ void gemm(const MTensor& a, bool trans_a, const MTensor& b, bool trans_b,
     throw std::invalid_argument("gemm: f32 inputs need f32 output");
   }
 
-  // Float accumulation core (tensor-core semantics for f16 inputs: the
-  // products are exact in f32 because half->float is exact; only the final
-  // store to an f16 C rounds).
-  const std::vector<float> af = materialize(a, trans_a);
-  const std::vector<float> bf = materialize(b, trans_b);
-  std::vector<float> acc(static_cast<std::size_t>(m * n), 0.0f);
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* arow = af.data() + i * k;
-    float* crow = acc.data() + i * n;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      const float* brow = bf.data() + kk * n;
-      for (std::int64_t j = 0; j < n; ++j) {
-        crow[j] += av * brow[j];
-      }
-    }
-  }
-  if (c.dtype() == Dtype::kF32) {
-    std::copy(acc.begin(), acc.end(), c.f().begin());
-  } else if (c.dtype() == Dtype::kF16) {
-    auto d = c.h();
-    for (std::size_t i = 0; i < d.size(); ++i) d[i] = half_t(acc[i]);
-  } else {
-    auto d = c.b();
-    for (std::size_t i = 0; i < d.size(); ++i) d[i] = bf16_t(acc[i]);
-  }
+  // Float accumulation (tensor-core semantics for f16 inputs: the products
+  // are exact in f32 because half->float is exact; only the final store to
+  // an f16 C rounds), tiled over the pool.
+  const auto operand = [](const MTensor& t, bool trans) {
+    dense::Operand o{nullptr, t.dtype(), t.cols(), trans};
+    visit(t, [&o](const auto* p) { o.data = p; });
+    return o;
+  };
+  dense::GemmDesc g{operand(a, trans_a), operand(b, trans_b), nullptr,
+                    c.dtype(), m, n, k};
+  visit(c, [&g](auto* p) { g.c = p; });
+  const dense::GemmTileFn tile = gemm_core();
+  const Tiling t = gemm_tiling(m, n, k, pool_device().threads());
+  run_jobs(static_cast<int>(t.row_tiles * t.col_tiles), [&](int job) {
+    const std::int64_t i0 = job / t.col_tiles * t.mt;
+    const std::int64_t j0 = job % t.col_tiles * t.nt;
+    tile(g, i0, std::min(m, i0 + t.mt), j0, std::min(n, j0 + t.nt));
+  });
   if (ledger != nullptr) ledger->add_gemm(m, n, k, half_compute);
 }
 
@@ -115,47 +289,47 @@ void add_bias_rows(MTensor& x, const MTensor& bias, CostLedger* ledger) {
   if (bias.cols() != x.cols()) {
     throw std::invalid_argument("add_bias_rows: width mismatch");
   }
-  for (std::int64_t r = 0; r < x.rows(); ++r) {
-    for (std::int64_t c = 0; c < x.cols(); ++c) {
-      x.set(r, c, x.get(r, c) + bias.get(0, c));
-    }
+  const std::int64_t cols = x.cols();
+  std::vector<float> bv(static_cast<std::size_t>(cols));
+  for (std::int64_t c = 0; c < cols; ++c) {
+    bv[static_cast<std::size_t>(c)] = bias.get(0, c);
   }
+  visit(x, [&](auto* p) {
+    using T = std::remove_pointer_t<decltype(p)>;
+    for_row_blocks(x, [&](std::int64_t r0, std::int64_t r1) {
+      for (std::int64_t r = r0; r < r1; ++r) {
+        T* row = p + r * cols;
+        for (std::int64_t c = 0; c < cols; ++c) {
+          row[c] = from_f<T>(
+              ordered_fadd(to_f(row[c]), bv[static_cast<std::size_t>(c)]));
+        }
+      }
+    });
+  });
   if (ledger != nullptr) ledger->add_elementwise(x.bytes() * 2);
 }
 
 void relu_forward(MTensor& x, std::vector<std::uint8_t>& mask,
                   CostLedger* ledger) {
   mask.assign(x.numel(), 0);
-  if (x.dtype() == Dtype::kF32) {
-    auto s = x.f();
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      if (s[i] > 0) {
-        mask[i] = 1;
-      } else {
-        s[i] = 0.0f;
+  visit(x, [&](auto* p) {
+    using T = std::remove_pointer_t<decltype(p)>;
+    for_blocks(static_cast<std::int64_t>(x.numel()), kElemsPerJob,
+               [&](std::int64_t b, std::int64_t e) {
+      for (std::int64_t i = b; i < e; ++i) {
+        if (to_f(p[i]) > 0.0f) {
+          mask[static_cast<std::size_t>(i)] = 1;
+        } else if constexpr (std::is_same_v<T, float>) {
+          p[i] = 0.0f;
+        } else if (!p[i].is_nan()) {
+          // NaN passes through (mask 0), as on device: max(NaN, 0) quirks
+          // are irrelevant here — NaN anywhere already means a poisoned
+          // run.
+          p[i] = T(0.0f);
+        }
       }
-    }
-  } else if (x.dtype() == Dtype::kF16) {
-    auto s = x.h();
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      if (s[i] > half_t(0.0f)) {
-        mask[i] = 1;
-      } else if (!s[i].is_nan()) {
-        s[i] = half_t(0.0f);
-      }
-      // NaN passes through (mask 0), as on device: max(NaN, 0) quirks are
-      // irrelevant here — NaN anywhere already means a poisoned run.
-    }
-  } else {
-    auto s = x.b();
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      if (s[i] > bf16_t(0.0f)) {
-        mask[i] = 1;
-      } else if (!s[i].is_nan()) {
-        s[i] = bf16_t(0.0f);
-      }
-    }
-  }
+    });
+  });
   if (ledger != nullptr) ledger->add_elementwise(x.bytes() * 2);
 }
 
@@ -164,22 +338,15 @@ void relu_backward(MTensor& grad, const std::vector<std::uint8_t>& mask,
   if (mask.size() != grad.numel()) {
     throw std::invalid_argument("relu_backward: mask size mismatch");
   }
-  if (grad.dtype() == Dtype::kF32) {
-    auto s = grad.f();
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      if (!mask[i]) s[i] = 0.0f;
-    }
-  } else if (grad.dtype() == Dtype::kF16) {
-    auto s = grad.h();
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      if (!mask[i]) s[i] = half_t(0.0f);
-    }
-  } else {
-    auto s = grad.b();
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      if (!mask[i]) s[i] = bf16_t(0.0f);
-    }
-  }
+  visit(grad, [&](auto* p) {
+    using T = std::remove_pointer_t<decltype(p)>;
+    for_blocks(static_cast<std::int64_t>(grad.numel()), kElemsPerJob,
+               [&](std::int64_t b, std::int64_t e) {
+      for (std::int64_t i = b; i < e; ++i) {
+        if (mask[static_cast<std::size_t>(i)] == 0) p[i] = from_f<T>(0.0f);
+      }
+    });
+  });
   if (ledger != nullptr) ledger->add_elementwise(grad.bytes() * 2);
 }
 
@@ -187,12 +354,19 @@ void scale_rows(MTensor& x, std::span<const float> s, CostLedger* ledger) {
   if (s.size() != static_cast<std::size_t>(x.rows())) {
     throw std::invalid_argument("scale_rows: scale size mismatch");
   }
-  for (std::int64_t r = 0; r < x.rows(); ++r) {
-    const float f = s[static_cast<std::size_t>(r)];
-    for (std::int64_t c = 0; c < x.cols(); ++c) {
-      x.set(r, c, x.get(r, c) * f);
-    }
-  }
+  const std::int64_t cols = x.cols();
+  visit(x, [&](auto* p) {
+    using T = std::remove_pointer_t<decltype(p)>;
+    for_row_blocks(x, [&](std::int64_t r0, std::int64_t r1) {
+      for (std::int64_t r = r0; r < r1; ++r) {
+        const float f = s[static_cast<std::size_t>(r)];
+        T* row = p + r * cols;
+        for (std::int64_t c = 0; c < cols; ++c) {
+          row[c] = from_f<T>(ordered_fmul(to_f(row[c]), f));
+        }
+      }
+    });
+  });
   if (ledger != nullptr) ledger->add_elementwise(x.bytes() * 2);
 }
 
@@ -214,28 +388,27 @@ void axpby(const MTensor& x, float alpha, MTensor& y, float beta,
   if (x.numel() != y.numel() || x.dtype() != y.dtype()) {
     throw std::invalid_argument("axpby: shape/dtype mismatch");
   }
-  if (x.dtype() == Dtype::kF32) {
-    auto ys = y.f();
-    auto xs = x.f();
-    for (std::size_t i = 0; i < ys.size(); ++i) {
-      ys[i] = alpha * xs[i] + beta * ys[i];
-    }
-  } else if (x.dtype() == Dtype::kF16) {
-    auto ys = y.h();
-    auto xs = x.h();
-    const half_t ha(alpha), hb(beta);
-    for (std::size_t i = 0; i < ys.size(); ++i) {
-      // Device-style: each op rounds in half.
-      ys[i] = hfma(ha, xs[i], hb * ys[i]);
-    }
-  } else {
-    auto ys = y.b();
-    auto xs = x.b();
-    for (std::size_t i = 0; i < ys.size(); ++i) {
-      // bf16 fma: exact f32 multiply-add, one rounding at the store.
-      ys[i] = bf16_t(alpha * xs[i].to_float() + beta * ys[i].to_float());
-    }
-  }
+  const half_t ha(alpha), hb(beta);
+  const void* xv = nullptr;
+  visit(x, [&xv](const auto* p) { xv = p; });
+  visit(y, [&](auto* yp) {
+    using T = std::remove_pointer_t<decltype(yp)>;
+    const T* xp = static_cast<const T*>(xv);
+    for_blocks(static_cast<std::int64_t>(y.numel()), kElemsPerJob,
+               [&](std::int64_t b, std::int64_t e) {
+      for (std::int64_t i = b; i < e; ++i) {
+        if constexpr (std::is_same_v<T, half_t>) {
+          // Device-style: each op rounds in half.
+          yp[i] = hfma(ha, xp[i], hb * yp[i]);
+        } else {
+          // f32, and bf16 fma: exact f32 multiply-add, one rounding at the
+          // store.
+          yp[i] = from_f<T>(ordered_fadd(ordered_fmul(alpha, to_f(xp[i])),
+                                         ordered_fmul(beta, to_f(yp[i]))));
+        }
+      }
+    });
+  });
   if (ledger != nullptr) ledger->add_elementwise(x.bytes() * 3);
 }
 

@@ -8,6 +8,12 @@
 // CostLedger. Numerics follow the device semantics: f16 GEMM multiplies in
 // half and accumulates in float (tensor-core style), elementwise f16 ops
 // round after every operation.
+//
+// gemm, axpby, add_bias_rows, relu_forward/relu_backward and scale_rows
+// split their output into jobs on a simt::Device worker pool; every output
+// element is computed by exactly one job with a fixed operation order, so
+// results are bit-identical at any pool size and on either HALFGNN_SIMD
+// path (DESIGN.md "Dense host path").
 #pragma once
 
 #include <cstdint>
@@ -18,6 +24,25 @@
 #include "tensor/tensor.hpp"
 
 namespace hg {
+
+namespace simt {
+class Device;
+}  // namespace simt
+
+// Dense ops issued from this thread run on `dev`'s pool for the scope's
+// lifetime; outside any scope they use simt::default_device() (sized by
+// HALFGNN_THREADS). The trainer scopes them to its stream's device, and
+// tests sweep pool sizes this way. Scopes nest.
+class DensePoolScope {
+ public:
+  explicit DensePoolScope(simt::Device& dev) noexcept;
+  ~DensePoolScope();
+  DensePoolScope(const DensePoolScope&) = delete;
+  DensePoolScope& operator=(const DensePoolScope&) = delete;
+
+ private:
+  simt::Device* prev_;
+};
 
 // out = convert(in) to `dt`; charges the conversion to the ledger (this is
 // the Sec. 3.1.2 churn being metered).
