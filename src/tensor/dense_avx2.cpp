@@ -304,8 +304,7 @@ template <Dtype D>
 void tile(const GemmDesc& g, std::int64_t i0, std::int64_t i1,
           std::int64_t j0, std::int64_t j1) {
   const std::int64_t nt = j1 - j0;
-  const int nv = nt <= 8 ? 1 : 2;
-  const std::int64_t nr = nv * 8;
+  const std::int64_t nr = nt <= 8 ? 8 : 16;  // B strip width
   const std::int64_t mtp = (i1 - i0 + kMr - 1) / kMr * kMr;
   const std::int64_t ntp = (nt + nr - 1) / nr * nr;
   const std::int64_t kc = std::min(kKc, g.k);
@@ -324,7 +323,7 @@ void tile(const GemmDesc& g, std::int64_t i0, std::int64_t i1,
     }
     for (std::int64_t r = 0; r < mtp; r += kMr) {
       for (std::int64_t t = 0; t < ntp; t += nr) {
-        if (nv == 1) {
+        if (nr == 8) {
           micro<1>(ap + r * kb, bp + t * kb, kb, acc + r * ntp + t, ntp);
         } else {
           micro<2>(ap + r * kb, bp + t * kb, kb, acc + r * ntp + t, ntp);

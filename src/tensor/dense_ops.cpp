@@ -86,6 +86,8 @@ T from_f(float v) {
 
 // ---- gemm ------------------------------------------------------------------
 
+// Largest gemm output tile; bounds the per-thread tile scratch.
+constexpr std::int64_t kTileRows = 64, kTileCols = 128;
 // Problems below this many multiply-adds run as one job on the caller.
 constexpr std::int64_t kMinPoolMacs = std::int64_t{1} << 16;
 // Tiles are not split below this many multiply-adds.
@@ -104,13 +106,14 @@ struct Tiling {
 Tiling gemm_tiling(std::int64_t m, std::int64_t n, std::int64_t k,
                    int threads) {
   Tiling t{m, n, 1, 1};
-  if (m * n <= 64 * 128 && m * n * k < kMinPoolMacs) return t;
-  t.mt = std::min<std::int64_t>(m, 64);
-  t.nt = std::min<std::int64_t>(n, 128);
+  if (m * n <= kTileRows * kTileCols && m * n * k < kMinPoolMacs) return t;
+  t.mt = std::min(m, kTileRows);
+  t.nt = std::min(n, kTileCols);
   const auto round_up = [](std::int64_t v, std::int64_t q) {
     return ceil_div(v, q) * q;
   };
-  while (ceil_div(m, t.mt) * ceil_div(n, t.nt) < 2 * threads &&
+  const std::int64_t want_jobs = 2 * static_cast<std::int64_t>(threads);
+  while (ceil_div(m, t.mt) * ceil_div(n, t.nt) < want_jobs &&
          t.mt * t.nt * k >= 2 * kMinJobMacs) {
     const std::int64_t mh = round_up(ceil_div(t.mt, 2), 4);
     const std::int64_t nh = round_up(ceil_div(t.nt, 2), 16);
