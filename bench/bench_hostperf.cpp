@@ -144,12 +144,12 @@ int run(const std::string& path) {
        }},
       {"edge_softmax_f16",
        [&](bool p) {
-         auto ks = kernels::edge_segment_reduce_f16(stream, p, g, eh, rh,
+         auto ks = kernels::edge_segment_reduce<half_t>(stream, p, g, eh, rh,
                                                     kernels::SegReduce::kMax);
-         ks += kernels::edge_exp_sub_row_f16(stream, p, g, eh, rh, eh);
-         ks += kernels::edge_segment_reduce_f16(stream, p, g, eh, rh,
+         ks += kernels::edge_exp_sub_row<half_t>(stream, p, g, eh, rh, eh);
+         ks += kernels::edge_segment_reduce<half_t>(stream, p, g, eh, rh,
                                                 kernels::SegReduce::kSum);
-         ks += kernels::edge_div_row_f16(stream, p, g, eh, rh, eh);
+         ks += kernels::edge_div_row<half_t>(stream, p, g, eh, rh, eh);
          return ks;
        }},
   };

@@ -8,9 +8,8 @@
 #include <utility>
 
 #include "amp/amp.hpp"
-#include "check/kernel_meta.hpp"
 #include "kernels/api.hpp"
-#include "nn/dispatch_registry.hpp"
+#include "nn/kernel_table.hpp"
 #include "nn/param.hpp"
 #include "util/rng.hpp"
 
@@ -79,6 +78,11 @@ const PredInterval* CheckResult::kernel(const std::string& name) const {
 }
 
 namespace {
+
+using nn::Accum;
+using nn::KernelDesc;
+using nn::MeanScale;
+using nn::SparseOp;
 
 // ---------------------------------------------------------------------------
 // Concrete track: exact f64 epoch-0 tensors
@@ -275,11 +279,11 @@ class Analyzer {
   // Judges one reduction against one kernel's machinery. M/M1 are the
   // per-term input bounds with/without the loss-scale range; d is the
   // worst-case fan-in; convex marks row-stochastic edge weights.
-  Judge judge_reduction(const KernelMeta& m, kernels::Reduce reduce,
+  Judge judge_reduction(const KernelDesc& m, kernels::Reduce reduce,
                         double M, double M1, long long d, int feat,
                         bool convex, bool gradpath) const {
     Judge j;
-    if (!m.launches) {
+    if (!m.launches()) {
       j.protection = "reference";
       j.running = M;
       j.reason = "host fp64 reference, outside the simulated range";
@@ -316,7 +320,7 @@ class Analyzer {
       unprot = fan * M;
       if (reduce == kernels::Reduce::kMean &&
           m.mean_scale == MeanScale::kDiscretized) {
-        const double seg = static_cast<double>(halfgnn_batch_cap(feat));
+        const double seg = static_cast<double>(nn::halfgnn_batch_cap(feat));
         prot = std::min(fan, seg) * M;
         j.protection = convex ? "convex" : "discretized";
       } else {
@@ -374,6 +378,17 @@ class Analyzer {
   }
 
   void add_row(SiteVerdict v) { out_.verdicts.push_back(std::move(v)); }
+  // Adds `v` with the verdict columns from `j`; `safe_reason` explains a
+  // verdict that needed no judgement text.
+  void add_row(SiteVerdict v, const Judge& j, std::string safe_reason) {
+    v.verdict = j.v;
+    v.running_hi = j.running;
+    v.protection = j.protection;
+    v.needed_factor = j.needed;
+    v.applied_factor = j.applied;
+    v.reason = j.reason.empty() ? std::move(safe_reason) : j.reason;
+    add_row(std::move(v));
+  }
 
   // Elementwise store site (edge ops, dense stores): UNSAFE only if the
   // stored value itself leaves the format.
@@ -443,15 +458,9 @@ class Analyzer {
     const double store_hi = K * M + bhi;
     const double store_hi1 = K * M1 + bhi;
     Judge j = judge_store(store_hi, store_hi1, cur_dt_, x.grad, "f32accum");
-    v.verdict = j.v;
-    v.running_hi = j.running;
-    v.protection = j.protection;
-    v.needed_factor = j.needed;
-    v.applied_factor = j.applied;
-    v.reason = j.reason.empty() ? "float accumulate; store fits " +
-                                      std::string(dtype_name(cur_dt_))
-                                : j.reason;
-    add_row(v);
+    add_row(std::move(v), j,
+            "float accumulate; store fits " +
+                std::string(dtype_name(cur_dt_)));
     if (j.v != Verdict::kSafe) {
       out.a.may_overflow = true;
       out.a.may_nan = true;
@@ -488,13 +497,7 @@ class Analyzer {
     v.fan_in = static_cast<long long>(K);
     Judge j = judge_store(K * eff(dy) * whi, K * eff_unscaled(dy) * whi,
                           cur_dt_, true, "f32accum");
-    v.verdict = j.v;
-    v.running_hi = j.running;
-    v.protection = j.protection;
-    v.needed_factor = j.needed;
-    v.applied_factor = j.applied;
-    v.reason = j.reason.empty() ? "float accumulate backward GEMM" : j.reason;
-    add_row(v);
+    add_row(std::move(v), j, "float accumulate backward GEMM");
     if (j.v != Verdict::kSafe) {
       out.a.may_overflow = true;
       out.a.may_nan = true;
@@ -598,45 +601,33 @@ class Analyzer {
         eff_unscaled(x) *
         (ew != nullptr ? std::min(eff_unscaled(*ew), convex ? 1.05 : eff_unscaled(*ew)) : 1.0);
 
-    const nn::DispatchChain& chain =
-        nn::dispatch_chain("spmm", cfg_.mode, cur_dt_);
-    for (int L = 0; L < chain.len(); ++L) {
-      const std::string& label = chain.kernels[static_cast<std::size_t>(L)];
-      const KernelMeta* meta = kernel_meta(label);
+    const nn::Ladder ladder =
+        nn::kernel_ladder(SparseOp::kSpmm, cfg_.mode, cur_dt_);
+    for (int L = 0; L < ladder.len; ++L) {
+      const KernelDesc& row = ladder.at(L);
       SiteVerdict v;
       v.layer = layer;
       v.op = transposed ? "spmm_transposed" : "spmm";
       v.site = site;
-      v.kernel = label;
+      v.kernel = std::string(row.label);
       v.chain_level = L;
       v.active = L == 0;
       v.input_hi = Mterm;
       v.fan_in = dmax;
-      if (meta == nullptr) {
-        v.verdict = Verdict::kUnsafe;
-        v.reason = "no kernel metadata for dispatch-chain entry";
-        add_row(v);
-        continue;
-      }
-      v.storage = meta->storage;
-      Judge j = judge_reduction(*meta, reduce, Mterm, Mterm1, dmax, feat,
+      v.storage = row.storage;
+      Judge j = judge_reduction(row, reduce, Mterm, Mterm1, dmax, feat,
                                 convex, x.grad);
-      v.verdict = j.v;
-      v.running_hi = j.running;
-      v.protection = j.protection;
-      v.needed_factor = j.needed;
-      v.applied_factor = j.applied;
-      v.reason = j.reason.empty()
-                     ? "every running value fits " +
-                           std::string(dtype_name(meta->storage))
-                     : j.reason;
-      add_row(v);
+      add_row(std::move(v), j,
+              "every running value fits " +
+                  std::string(dtype_name(row.storage)));
 
-      if (L == 0 && meta->launches) {
+      if (L == 0 && row.launches()) {
         // Predicted store interval for every kernel this dispatch launches:
-        // running partials AND final stores, joined.
-        AbsVal stores = effval(x, std::max(j.running, final_bound(out, reduce, Mterm)));
-        if (label == "spmm_binary") {
+        // running partials AND final stores, joined. Final stored values:
+        // mean/max stay at one input magnitude; the envelope of the
+        // concrete output is exact at epoch 0.
+        AbsVal stores = effval(x, std::max(j.running, eff(out)));
+        if (row.label == "spmm_binary") {
           // The XNOR epilogue stores alpha_scale * (2c - deg) with
           // |2c - deg| <= deg, IGNORING any edge weights the float path
           // would apply — so the convex (row-stochastic) bound does not
@@ -648,14 +639,14 @@ class Analyzer {
           stores.hi = std::max(stores.hi, xnor);
         }
         stores.may_overflow = stores.may_overflow || j.running >
-            dtype_range(meta->storage).max_finite;
+            dtype_range(row.storage).max_finite;
         stores.may_nan = stores.may_nan || stores.may_overflow;
         if (j.v != Verdict::kSafe && j.protection != "discretized") {
           stores.may_overflow = true;
           stores.may_nan = true;
         }
-        for (const std::string_view name : meta->launched) {
-          predict_kernel(name, stores, meta->storage);
+        for (const std::string_view name : row.launched()) {
+          predict_kernel(name, stores, row.storage);
         }
         if (j.v == Verdict::kUnsafe ||
             (j.v == Verdict::kNeedsScaling && j.protection == "gradscaler")) {
@@ -665,14 +656,6 @@ class Analyzer {
       }
     }
     return out;
-  }
-
-  double final_bound(const TV& out, kernels::Reduce reduce, double M) const {
-    // Final stored values: mean/max stay at one input magnitude; the
-    // envelope of the concrete output is exact at epoch 0.
-    (void)reduce;
-    (void)M;
-    return eff(out);
   }
 
   // SDDMM per-edge dot (GAT backward): fan-in = feature width.
@@ -700,50 +683,26 @@ class Analyzer {
 
     const double M = eff(a_rows) * eff(b_cols);
     const double M1 = eff_unscaled(a_rows) * eff_unscaled(b_cols);
-    const nn::DispatchChain& chain =
-        nn::dispatch_chain("sddmm", cfg_.mode, cur_dt_);
-    for (int L = 0; L < chain.len(); ++L) {
-      const std::string& label = chain.kernels[static_cast<std::size_t>(L)];
-      const KernelMeta* meta = kernel_meta(label);
+    const nn::Ladder ladder =
+        nn::kernel_ladder(SparseOp::kSddmm, cfg_.mode, cur_dt_);
+    for (int L = 0; L < ladder.len; ++L) {
+      const KernelDesc& row = ladder.at(L);
       SiteVerdict v;
       v.layer = layer;
       v.op = "sddmm";
       v.site = site;
-      v.kernel = label;
+      v.kernel = std::string(row.label);
       v.chain_level = L;
       v.active = L == 0;
       v.input_hi = M;
       v.fan_in = feat;
-      if (meta == nullptr) {
-        v.verdict = Verdict::kUnsafe;
-        v.reason = "no kernel metadata for dispatch-chain entry";
-        add_row(v);
-        continue;
-      }
-      v.storage = meta->storage;
-      Judge j = judge_reduction(*meta, kernels::Reduce::kSum, M, M1,
+      v.storage = row.storage;
+      Judge j = judge_reduction(row, kernels::Reduce::kSum, M, M1,
                                 feat, feat, false, out.grad);
-      v.verdict = j.v;
-      v.running_hi = j.running;
-      v.protection = j.protection;
-      v.needed_factor = j.needed;
-      v.applied_factor = j.applied;
-      v.reason = j.reason.empty() ? "per-edge dot fits the accumulator"
-                                  : j.reason;
-      add_row(v);
-      if (L == 0 && meta->launches) {
-        AbsVal stores = effval(out, std::max(j.running, eff(out)));
-        if (j.v != Verdict::kSafe) {
-          stores.may_overflow = true;
-          stores.may_nan = true;
-        }
-        for (const std::string_view name : meta->launched) {
-          predict_kernel(name, stores, meta->storage);
-        }
-        if (j.v != Verdict::kSafe) {
-          out.a.may_overflow = true;
-          out.a.may_nan = true;
-        }
+      add_row(std::move(v), j, "per-edge dot fits the accumulator");
+      if (L == 0 && row.launches()) {
+        predict_launches(row, effval(out, std::max(j.running, eff(out))), j,
+                         out);
       }
     }
     return out;
@@ -774,94 +733,72 @@ class Analyzer {
     out.grad = ev.grad;
     out.scale_deg = ev.scale_deg;
 
-    const Dtype dt = seg_reduce_dtype(is_sum);
-    const std::string label =
-        std::string("edge_segreduce_") + std::string(dtype_name(dt));
-    const KernelMeta* meta = kernel_meta(label);
+    const KernelDesc& row = edge_row(is_sum ? SparseOp::kSegSum
+                                            : SparseOp::kSegMax);
     const double M = eff(ev);
     const double M1 = eff_unscaled(ev);
     SiteVerdict v;
     v.layer = layer;
     v.op = "seg_reduce";
     v.site = site;
-    v.kernel = label;
+    v.kernel = std::string(row.label);
     v.active = true;
-    v.storage = dt;
+    v.storage = row.storage;
     v.input_hi = M;
     v.fan_in = dmax;
-    Judge j;
-    if (meta != nullptr) {
-      j = judge_reduction(*meta, is_sum ? kernels::Reduce::kSum
-                                        : kernels::Reduce::kMax,
-                          M, M1, dmax, 1, false, ev.grad);
-    } else {
-      j.v = Verdict::kUnsafe;
-      j.reason = "no kernel metadata for seg_reduce kernel";
-    }
+    Judge j = judge_reduction(
+        row, is_sum ? kernels::Reduce::kSum : kernels::Reduce::kMax, M, M1,
+        dmax, 1, false, ev.grad);
     if (!protection.empty() && j.v == Verdict::kSafe) {
       j.protection = std::move(protection);
     }
-    v.verdict = j.v;
-    v.running_hi = j.running;
-    v.protection = j.protection;
-    v.needed_factor = j.needed;
-    v.applied_factor = j.applied;
-    v.reason = j.reason.empty() ? "segment reduction in range" : j.reason;
-    add_row(v);
-    AbsVal stores = effval(out, std::max(j.running, eff(out)));
+    add_row(std::move(v), j, "segment reduction in range");
+    predict_launches(row, effval(out, std::max(j.running, eff(out))), j, out);
+    return out;
+  }
+
+  // Predicts `stores` for every kernel `row` launches. A verdict short of
+  // SAFE means those stores, and the site's output, may overflow.
+  void predict_launches(const KernelDesc& row, AbsVal stores, const Judge& j,
+                        TV& out) {
     if (j.v != Verdict::kSafe) {
       stores.may_overflow = true;
       stores.may_nan = true;
       out.a.may_overflow = true;
       out.a.may_nan = true;
     }
-    predict_kernel(label, stores, dt);
-    return out;
+    for (const std::string_view name : row.launched()) {
+      predict_kernel(name, stores, row.storage);
+    }
   }
 
-  Dtype seg_reduce_dtype(bool is_sum) const {
-    const Dtype dt = edge_dt();
-    if (dt == Dtype::kF32 || dt == Dtype::kBf16) return dt;
-    if (cfg_.mode == nn::SystemMode::kDglHalf && is_sum) {
-      return Dtype::kF32;  // AMP promotes 'sum'
-    }
-    return Dtype::kF16;
-  }
-  Dtype edge_dt() const {
-    return dtype_trainable(cur_dt_) ? cur_dt_ : Dtype::kF32;
+  // The row the runtime dispatches edge op `op` to: the same resolver,
+  // so AMP's DGL-half promotions and the PTQ dtypes' f32 edge work are
+  // the table's, not re-derived here.
+  const KernelDesc& edge_row(SparseOp op) const {
+    return nn::kernel_ladder(op, cfg_.mode, cur_dt_).at(0);
   }
 
   // Elementwise edge op: one launched kernel, store-range verdict.
-  TV edge_elementwise(int layer, const std::string& op,
-                      const std::string& site, TV out, Dtype dt,
+  TV edge_elementwise(int layer, SparseOp op, const std::string& site, TV out,
                       std::string protection) {
-    const std::string label = op + "_" + std::string(dtype_name(dt));
+    const KernelDesc& row = edge_row(op);
+    const Dtype dt = row.storage;
     SiteVerdict v;
     v.layer = layer;
-    v.op = op;
+    // The verdict's op column is the kernel family: the label minus its
+    // dtype suffix.
+    v.op = std::string(row.label.substr(0, row.label.rfind('_')));
     v.site = site;
-    v.kernel = label;
+    v.kernel = std::string(row.label);
     v.active = true;
     v.storage = dt;
     v.input_hi = eff(out);
     v.fan_in = 1;
     Judge j = judge_store(eff(out), eff_unscaled(out), dt, out.grad,
                           std::move(protection));
-    v.verdict = j.v;
-    v.running_hi = j.running;
-    v.protection = j.protection;
-    v.needed_factor = j.needed;
-    v.applied_factor = j.applied;
-    v.reason = j.reason.empty() ? "elementwise store in range" : j.reason;
-    add_row(v);
-    AbsVal stores = effval(out, eff(out));
-    if (j.v != Verdict::kSafe) {
-      stores.may_overflow = true;
-      stores.may_nan = true;
-      out.a.may_overflow = true;
-      out.a.may_nan = true;
-    }
-    predict_kernel(label, stores, dt);
+    add_row(std::move(v), j, "elementwise store in range");
+    predict_launches(row, effval(out, eff(out)), j, out);
     return out;
   }
 
@@ -1109,14 +1046,7 @@ class Analyzer {
     v.fan_in = 2;
     Judge j = judge_store(eff(out), eff_unscaled(out), cur_dt_, out.grad,
                           "none");
-    v.verdict = j.v;
-    v.running_hi = j.running;
-    v.protection = j.protection;
-    v.needed_factor = j.needed;
-    v.applied_factor = j.applied;
-    v.reason = j.reason.empty() ? "two-term elementwise combine in range"
-                                : j.reason;
-    add_row(v);
+    add_row(std::move(v), j, "two-term elementwise combine in range");
   }
 
   void walk_gin(bool bwd) {
@@ -1140,7 +1070,6 @@ class Analyzer {
 
   TV gat_conv_fwd(int layer, const TV& x, int base, GatState& st) {
     const std::string l = "L" + std::to_string(layer);
-    const Dtype edt = edge_dt();
     TV z = linear_fwd(layer, l + ".fwd.gemm", x, base, -1);
     st.z = z;
     // el = z a_l, er = z a_r: K = out-width dots (float accumulate).
@@ -1158,8 +1087,8 @@ class Analyzer {
     s.a = AbsVal::bounded(el.a.hi + er.a.hi);
     s.a.may_overflow = el.a.may_overflow || er.a.may_overflow;
     s.a.may_nan = s.a.may_overflow || el.a.may_nan || er.a.may_nan;
-    s = edge_elementwise(layer, "edge_addscalar", l + ".fwd.scores",
-                         std::move(s), edt, "none");
+    s = edge_elementwise(layer, SparseOp::kEdgeAddScalars, l + ".fwd.scores",
+                         std::move(s), "none");
     st.s = s;
     // Row max (shadow half under HalfGNN: max never amplifies).
     TV mx = seg_reduce_site(layer, l + ".fwd.segmax", s,
@@ -1173,8 +1102,8 @@ class Analyzer {
     p.a = AbsVal::nonneg(0.0, 1.0);
     p.a.may_zero = true;
     p.a.may_nan = s.a.may_nan;
-    p = edge_elementwise(layer, "edge_expsub", l + ".fwd.exp", std::move(p),
-                         exp_dtype(), "shadow");
+    p = edge_elementwise(layer, SparseOp::kEdgeExp, l + ".fwd.exp",
+                         std::move(p), "shadow");
     TV dsum = seg_reduce_site(layer, l + ".fwd.segsum", p,
                               kernels::SegReduce::kSum, "shadow");
     // alpha = p / dsum[row]: convex row weights.
@@ -1187,31 +1116,24 @@ class Analyzer {
     alpha.a = AbsVal::nonneg(0.0, 1.0);
     alpha.a.row_stochastic = true;
     alpha.a.may_nan = p.a.may_nan;
-    alpha = edge_elementwise(layer, "edge_divrow", l + ".fwd.softmax",
-                             std::move(alpha), edt, "convex");
+    alpha = edge_elementwise(layer, SparseOp::kEdgeDivRow, l + ".fwd.softmax",
+                             std::move(alpha), "convex");
     alpha.a.row_stochastic = true;  // division preserves the structure
     st.alpha = alpha;
     return spmm_site(layer, l + ".fwd.spmm", z, &alpha, false,
                      kernels::Reduce::kSum, false);
   }
 
-  Dtype exp_dtype() const {
-    const Dtype dt = edge_dt();
-    if (dt == Dtype::kF32 || dt == Dtype::kBf16) return dt;
-    return cfg_.mode == nn::SystemMode::kDglHalf ? Dtype::kF32 : Dtype::kF16;
-  }
-
   TV gat_conv_bwd(int layer, const TV& x_in, const TV& dy, int base,
                   const GatState& st) {
     const std::string l = "L" + std::to_string(layer);
-    const Dtype edt = edge_dt();
     TV dalpha = sddmm_site(layer, l + ".bwd.sddmm", dy, st.z);
     // dz aggregation term: alpha rides through edge_permute (loses the
     // row-stochastic structure: column sums of alpha are NOT <= 1).
     TV alpha_p = st.alpha;
     alpha_p.a.row_stochastic = false;
-    alpha_p = edge_elementwise(layer, "edge_permute", l + ".bwd.permA",
-                               std::move(alpha_p), edt, "none");
+    alpha_p = edge_elementwise(layer, SparseOp::kEdgePermute, l + ".bwd.permA",
+                               std::move(alpha_p), "none");
     TV dz = spmm_site(layer, l + ".bwd.spmmT", dy, &alpha_p, true,
                       kernels::Reduce::kSum, true);
     // Softmax backward chain.
@@ -1225,8 +1147,8 @@ class Analyzer {
     t.a.may_overflow = dalpha.a.may_overflow;
     t.grad = true;
     t.scale_deg = dalpha.scale_deg;
-    t = edge_elementwise(layer, "edge_mul", l + ".bwd.mul", std::move(t), edt,
-                         "convex");
+    t = edge_elementwise(layer, SparseOp::kEdgeMul, l + ".bwd.mul",
+                         std::move(t), "convex");
     TV csum = seg_reduce_site(layer, l + ".bwd.segsum.c", t,
                               kernels::SegReduce::kSum, "");
     // ds = alpha * (dalpha - csum[row]); |ds| <= |dalpha| + |csum|.
@@ -1242,14 +1164,14 @@ class Analyzer {
     ds.a.may_overflow = dalpha.a.may_overflow || csum.a.may_overflow;
     ds.grad = true;
     ds.scale_deg = dalpha.scale_deg;
-    ds = edge_elementwise(layer, "edge_softmax_bwd", l + ".bwd.softmax",
-                          std::move(ds), edt, "convex");
+    ds = edge_elementwise(layer, SparseOp::kEdgeSoftmaxBwd, l + ".bwd.softmax",
+                          std::move(ds), "convex");
     // LeakyReLU backward: multiply by 1 or slope.
     for (std::size_t e = 0; e < ds.c.v.size(); ++e) {
       if (st.s.c.v[e] < 0.0) ds.c.v[e] *= 0.2;
     }
-    ds = edge_elementwise(layer, "edge_leaky_bwd", l + ".bwd.leaky",
-                          std::move(ds), edt, "none");
+    ds = edge_elementwise(layer, SparseOp::kEdgeLeakyBwd, l + ".bwd.leaky",
+                          std::move(ds), "none");
     TV del = seg_reduce_site(layer, l + ".bwd.segsum.del", ds,
                              kernels::SegReduce::kSum, "");
     TV ds_rev = ds;
@@ -1262,8 +1184,8 @@ class Analyzer {
       perm.a = ds.a;
       perm.grad = ds.grad;
       perm.scale_deg = ds.scale_deg;
-      ds_rev = edge_elementwise(layer, "edge_permute", l + ".bwd.permDs",
-                                std::move(perm), edt, "none");
+      ds_rev = edge_elementwise(layer, SparseOp::kEdgePermute,
+                                l + ".bwd.permDs", std::move(perm), "none");
     }
     TV der = seg_reduce_site(layer, l + ".bwd.segsum.der", ds_rev,
                              kernels::SegReduce::kSum, "");

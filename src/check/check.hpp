@@ -16,7 +16,7 @@
 // pointwise min of the two tracks, times scaler_max for tensors that carry
 // the f16 loss scale. Verdicts per (layer, op, dtype, dispatch-chain
 // entry) come from the same bounds measured against the storage range and
-// the kernel's declared mean-scaling machinery (kernel_meta.hpp):
+// the kernel's declared mean-scaling machinery (nn/kernel_table.hpp):
 //
 //   SAFE           every running value and store fits the format
 //   NEEDS-SCALING  the unprotected reduction would overflow but the

@@ -5,10 +5,9 @@
 #include <sstream>
 
 #include "amp/amp.hpp"
-#include "check/kernel_meta.hpp"
 #include "half/dtype.hpp"
 #include "nn/common.hpp"
-#include "nn/dispatch_registry.hpp"
+#include "nn/kernel_table.hpp"
 
 namespace hg::check {
 
@@ -43,9 +42,8 @@ void add(std::vector<LintIssue>& out, std::string rule, std::string subject,
   out.push_back({std::move(rule), std::move(subject), std::move(detail)});
 }
 
-std::string chain_subject(std::string_view op, nn::SystemMode mode,
-                          Dtype dt) {
-  return std::string(op) + "/" + nn::mode_name(mode) + "/" +
+std::string chain_subject(nn::SparseOp op, nn::SystemMode mode, Dtype dt) {
+  return std::string(nn::op_name(op)) + "/" + nn::mode_name(mode) + "/" +
          std::string(dtype_name(dt));
 }
 
@@ -75,43 +73,29 @@ std::vector<LintIssue> lint_registry() {
     }
   }
 
-  // --- chain rules over the full (op x mode x dtype) grid ------------------
-  for (const std::string_view op : nn::dispatch_ops()) {
+  // --- ladder rules over the full (op x mode x dtype) grid -----------------
+  for (const nn::SparseOp op : nn::kSparseOps) {
     for (const nn::SystemMode mode : kModes) {
       for (const Dtype dt : all_dtypes()) {
-        const nn::DispatchChain& chain = nn::dispatch_chain(op, mode, dt);
         const std::string subject = chain_subject(op, mode, dt);
-        if (chain.len() == 0) {
-          add(out, "chain-terminates", subject, "empty dispatch chain");
+        nn::Ladder ladder;
+        try {
+          ladder = nn::kernel_ladder(op, mode, dt);
+        } catch (const std::logic_error& e) {
+          add(out, "chain-terminates", subject, e.what());
           continue;
         }
-        const std::string& last =
-            chain.kernels[static_cast<std::size_t>(chain.len() - 1)];
-        if (!nn::is_reference_kernel(last)) {
+        const nn::KernelDesc& last = ladder.at(ladder.len - 1);
+        if (nn::has_fallbacks(op) && last.launches()) {
           add(out, "chain-terminates", subject,
-              "chain ends in '" + last +
+              "chain ends in '" + std::string(last.label) +
                   "', not a host reference kernel — TrainGuard escalation "
                   "has no safe floor");
-        }
-        for (const std::string& label : chain.kernels) {
-          const KernelMeta* meta = kernel_meta(label);
-          if (meta == nullptr) {
-            add(out, "chain-has-meta", subject,
-                "chain entry '" + label + "' has no KernelMeta row");
-            continue;
-          }
-          if (meta->launches && meta->launched.empty()) {
-            add(out, "chain-has-meta", subject,
-                "'" + label +
-                    "' claims device launches but lists no launched kernel "
-                    "names for the soundness bridge");
-          }
         }
         // A trainable dtype must get a native kernel at level 0 — training
         // entirely on the host reference would silently void every perf
         // claim.
-        if (dtype_trainable(dt) &&
-            nn::is_reference_kernel(chain.kernels[0]) && chain.len() == 1 &&
+        if (dtype_trainable(dt) && !ladder.at(0).launches() &&
             mode == nn::SystemMode::kHalfGnn) {
           add(out, "dtype-traits", subject,
               "trainable dtype dispatches straight to the reference");
@@ -120,15 +104,15 @@ std::vector<LintIssue> lint_registry() {
     }
   }
 
-  // --- policy-consistent over the whole meta table -------------------------
-  for (const KernelMeta& m : all_kernel_meta()) {
+  // --- policy-consistent over the whole table ------------------------------
+  for (const nn::KernelDesc& m : nn::kernel_table()) {
     const std::string subject(m.label);
     if (m.policy != simt::ConflictPolicy::kNone) {
       if (!m.reducing) {
         add(out, "policy-consistent", subject,
             "staged conflict policy declared on a non-reducing kernel");
       }
-      if (!m.launches) {
+      if (!m.launches()) {
         add(out, "policy-consistent", subject,
             "conflict policy declared on a host path that never launches");
       }
@@ -137,17 +121,13 @@ std::vector<LintIssue> lint_registry() {
       add(out, "policy-consistent", subject,
           "kStagedMax declared but the kernel has no max-reduce mode");
     }
-    if (m.mean_scale == MeanScale::kDiscretized && m.batch_cap <= 0) {
+    if (m.mean_scale == nn::MeanScale::kDiscretized && m.batch_cap <= 0) {
       add(out, "policy-consistent", subject,
           "discretized mean scaling declared without a batch cap");
     }
-    if (!m.reducing && m.mean_scale != MeanScale::kNone) {
+    if (!m.reducing && m.mean_scale != nn::MeanScale::kNone) {
       add(out, "policy-consistent", subject,
           "mean-scaling machinery declared on a non-reducing kernel");
-    }
-    if (m.accum == Accum::kF64Host && m.launches) {
-      add(out, "policy-consistent", subject,
-          "host fp64 accumulation cannot come from a device launch");
     }
   }
   return out;

@@ -1,14 +1,12 @@
-// hgcheck metadata linter: structural invariants of the kernel/dispatch
-// registry and drift checks between the machine grammar tables and the
+// hgcheck metadata linter: structural invariants of the kernel table
+// (nn/kernel_table.hpp) and drift checks between the machine grammar tables and the
 // prose docs (README.md / DESIGN.md). Pure host checks, zero launches.
 //
 // Rules (each produces LintIssue rows; an empty vector = clean):
 //
-//   chain-terminates     every (op x mode x dtype) dispatch chain is
-//                        non-empty and ends in a `*_reference` host kernel
-//   chain-has-meta       every chain label has a KernelMeta row, so the
-//                        checker can model it and the bridge can map its
-//                        launches
+//   chain-terminates     every (op x mode x dtype) ladder is non-empty,
+//                        and every spmm/sddmm ladder ends in a host
+//                        reference kernel
 //   dtype-traits         dtype trait rows are consistent: unique non-empty
 //                        names, loss-scaling implies trainable, trainable
 //                        dtypes get a native (non-reference) level-0 kernel
@@ -35,7 +33,7 @@
 namespace hg::check {
 
 struct LintIssue {
-  std::string rule;     // "chain-terminates" | "chain-has-meta" | ...
+  std::string rule;     // "chain-terminates" | "dtype-traits" | ...
   std::string subject;  // what failed, e.g. "spmm/HalfGNN/f16"
   std::string detail;
 };
@@ -52,8 +50,7 @@ struct GrammarTable {
 
 std::span<const GrammarTable> grammar_tables();
 
-// Registry rules (chain-terminates, chain-has-meta, dtype-traits,
-// policy-consistent).
+// Kernel-table rules (chain-terminates, dtype-traits, policy-consistent).
 std::vector<LintIssue> lint_registry();
 
 // doc-grammar over already-loaded doc text.

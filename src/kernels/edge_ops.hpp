@@ -5,9 +5,13 @@
 // edge-level exp(e_ij - m_i); a per-row sum (the softmax denominator); and
 // the edge-level division by that denominator.
 //
-// Every op comes in a float flavor (what PyTorch AMP forces, by promoting
-// exp and friends to float) and a half flavor (the paper's shadow API,
-// Sec. 5.3 — safe because e_ij - m_i <= 0 implies exp() in (0, 1]).
+// Every op is one template over the element type T — float (what PyTorch
+// AMP forces, by promoting exp and friends to float), half_t (the paper's
+// shadow API, Sec. 5.3 — safe because e_ij - m_i <= 0 implies exp() in
+// (0, 1]) and bf16_t (the precision-lattice trainable dtype). The reduced
+// types round every elementwise result in T and take the half-intrinsic
+// cost class. Each is explicitly instantiated for exactly those three
+// types; the launched kernel is named `<op>_{f32,f16,bf16}` after T.
 #pragma once
 
 #include "kernels/api.hpp"
@@ -18,143 +22,65 @@ enum class SegReduce { kMax, kSum };
 
 // out_v = reduce over edges e with row(e)==v of vals[e]. Empty rows get 0
 // for kSum and -inf for kMax is replaced by 0 as well.
-simt::KernelStats edge_segment_reduce_f32(simt::Stream& stream,
-                                          bool profiled, const GraphView& g,
-                                          std::span<const float> vals,
-                                          std::span<float> out,
-                                          SegReduce reduce);
-simt::KernelStats edge_segment_reduce_f16(simt::Stream& stream,
-                                          bool profiled, const GraphView& g,
-                                          std::span<const half_t> vals,
-                                          std::span<half_t> out,
-                                          SegReduce reduce);
+template <class T>
+simt::KernelStats edge_segment_reduce(simt::Stream& stream, bool profiled,
+                                      const GraphView& g,
+                                      std::span<const T> vals,
+                                      std::span<T> out, SegReduce reduce);
 
 // out[e] = leaky_relu(el[row(e)] + er[col(e)], slope) — the GAT score
 // SDDMM variant (u_add_v).
-simt::KernelStats edge_add_scalars_f32(simt::Stream& stream,
-                                       bool profiled, const GraphView& g,
-                                       std::span<const float> el,
-                                       std::span<const float> er,
-                                       std::span<float> out, float slope);
-simt::KernelStats edge_add_scalars_f16(simt::Stream& stream,
-                                       bool profiled, const GraphView& g,
-                                       std::span<const half_t> el,
-                                       std::span<const half_t> er,
-                                       std::span<half_t> out, float slope);
+template <class T>
+simt::KernelStats edge_add_scalars(simt::Stream& stream, bool profiled,
+                                   const GraphView& g, std::span<const T> el,
+                                   std::span<const T> er, std::span<T> out,
+                                   float slope);
 
-// out[e] = exp(vals[e] - rowv[row(e)]). The half version is the shadow exp:
-// its inputs are guaranteed non-positive, so the result is in (0,1].
-simt::KernelStats edge_exp_sub_row_f32(simt::Stream& stream,
-                                       bool profiled, const GraphView& g,
-                                       std::span<const float> vals,
-                                       std::span<const float> rowv,
-                                       std::span<float> out);
-simt::KernelStats edge_exp_sub_row_f16(simt::Stream& stream,
-                                       bool profiled, const GraphView& g,
-                                       std::span<const half_t> vals,
-                                       std::span<const half_t> rowv,
-                                       std::span<half_t> out);
+// out[e] = exp(vals[e] - rowv[row(e)]). The reduced-precision versions are
+// the shadow exp: inputs are guaranteed non-positive, so the result is in
+// (0,1].
+template <class T>
+simt::KernelStats edge_exp_sub_row(simt::Stream& stream, bool profiled,
+                                   const GraphView& g,
+                                   std::span<const T> vals,
+                                   std::span<const T> rowv,
+                                   std::span<T> out);
 
 // out[e] = vals[e] / rowv[row(e)] (softmax normalization); rowv entries of
 // zero are treated as 1 to keep empty rows harmless.
-simt::KernelStats edge_div_row_f32(simt::Stream& stream,
-                                   bool profiled, const GraphView& g,
-                                   std::span<const float> vals,
-                                   std::span<const float> rowv,
-                                   std::span<float> out);
-simt::KernelStats edge_div_row_f16(simt::Stream& stream,
-                                   bool profiled, const GraphView& g,
-                                   std::span<const half_t> vals,
-                                   std::span<const half_t> rowv,
-                                   std::span<half_t> out);
+template <class T>
+simt::KernelStats edge_div_row(simt::Stream& stream, bool profiled,
+                               const GraphView& g, std::span<const T> vals,
+                               std::span<const T> rowv, std::span<T> out);
 
 // out[e] = alpha[e] * (dalpha[e] - c[row(e)]) — the edge-softmax backward
 // combine (c is the per-row sum of alpha * dalpha).
-simt::KernelStats edge_softmax_backward_f32(simt::Stream& stream,
-                                            bool profiled, const GraphView& g,
-                                            std::span<const float> alpha,
-                                            std::span<const float> dalpha,
-                                            std::span<const float> c,
-                                            std::span<float> out);
-simt::KernelStats edge_softmax_backward_f16(simt::Stream& stream,
-                                            bool profiled, const GraphView& g,
-                                            std::span<const half_t> alpha,
-                                            std::span<const half_t> dalpha,
-                                            std::span<const half_t> c,
-                                            std::span<half_t> out);
+template <class T>
+simt::KernelStats edge_softmax_backward(simt::Stream& stream, bool profiled,
+                                        const GraphView& g,
+                                        std::span<const T> alpha,
+                                        std::span<const T> dalpha,
+                                        std::span<const T> c,
+                                        std::span<T> out);
 
 // out[e] = grad[e] * (pre[e] > 0 ? 1 : slope) — LeakyReLU backward on edges.
-simt::KernelStats edge_leaky_backward_f32(simt::Stream& stream,
-                                          bool profiled,
-                                          std::span<const float> pre,
-                                          std::span<const float> grad,
-                                          std::span<float> out, float slope);
-simt::KernelStats edge_leaky_backward_f16(simt::Stream& stream,
-                                          bool profiled,
-                                          std::span<const half_t> pre,
-                                          std::span<const half_t> grad,
-                                          std::span<half_t> out, float slope);
+template <class T>
+simt::KernelStats edge_leaky_backward(simt::Stream& stream, bool profiled,
+                                      std::span<const T> pre,
+                                      std::span<const T> grad,
+                                      std::span<T> out, float slope);
 
 // out[e] = in[perm[e]] — edge permutation gather (transposed-graph weights).
-simt::KernelStats edge_permute_f32(simt::Stream& stream,
-                                   bool profiled, std::span<const float> in,
-                                   std::span<const eid_t> perm,
-                                   std::span<float> out);
-simt::KernelStats edge_permute_f16(simt::Stream& stream,
-                                   bool profiled, std::span<const half_t> in,
-                                   std::span<const eid_t> perm,
-                                   std::span<half_t> out);
+template <class T>
+simt::KernelStats edge_permute(simt::Stream& stream, bool profiled,
+                               std::span<const T> in,
+                               std::span<const eid_t> perm,
+                               std::span<T> out);
 
 // out[e] = a[e] * b[e] (edge-elementwise product, used by softmax backward).
-simt::KernelStats edge_mul_f32(simt::Stream& stream, bool profiled,
-                               std::span<const float> a,
-                               std::span<const float> b,
-                               std::span<float> out);
-simt::KernelStats edge_mul_f16(simt::Stream& stream, bool profiled,
-                               std::span<const half_t> a,
-                               std::span<const half_t> b,
-                               std::span<half_t> out);
-
-// bf16 flavor of every edge op (the precision-lattice trainable dtype):
-// the shared impls instantiated with bf16_t, so each elementwise result
-// rounds in bf16 and the ALU work takes the half-intrinsic cost class.
-simt::KernelStats edge_segment_reduce_bf16(simt::Stream& stream,
-                                           bool profiled, const GraphView& g,
-                                           std::span<const bf16_t> vals,
-                                           std::span<bf16_t> out,
-                                           SegReduce reduce);
-simt::KernelStats edge_add_scalars_bf16(simt::Stream& stream,
-                                        bool profiled, const GraphView& g,
-                                        std::span<const bf16_t> el,
-                                        std::span<const bf16_t> er,
-                                        std::span<bf16_t> out, float slope);
-simt::KernelStats edge_exp_sub_row_bf16(simt::Stream& stream,
-                                        bool profiled, const GraphView& g,
-                                        std::span<const bf16_t> vals,
-                                        std::span<const bf16_t> rowv,
-                                        std::span<bf16_t> out);
-simt::KernelStats edge_div_row_bf16(simt::Stream& stream,
-                                    bool profiled, const GraphView& g,
-                                    std::span<const bf16_t> vals,
-                                    std::span<const bf16_t> rowv,
-                                    std::span<bf16_t> out);
-simt::KernelStats edge_softmax_backward_bf16(
-    simt::Stream& stream, bool profiled, const GraphView& g,
-    std::span<const bf16_t> alpha, std::span<const bf16_t> dalpha,
-    std::span<const bf16_t> c, std::span<bf16_t> out);
-simt::KernelStats edge_leaky_backward_bf16(simt::Stream& stream,
-                                           bool profiled,
-                                           std::span<const bf16_t> pre,
-                                           std::span<const bf16_t> grad,
-                                           std::span<bf16_t> out,
-                                           float slope);
-simt::KernelStats edge_permute_bf16(simt::Stream& stream, bool profiled,
-                                    std::span<const bf16_t> in,
-                                    std::span<const eid_t> perm,
-                                    std::span<bf16_t> out);
-simt::KernelStats edge_mul_bf16(simt::Stream& stream, bool profiled,
-                                std::span<const bf16_t> a,
-                                std::span<const bf16_t> b,
-                                std::span<bf16_t> out);
+template <class T>
+simt::KernelStats edge_mul(simt::Stream& stream, bool profiled,
+                           std::span<const T> a, std::span<const T> b,
+                           std::span<T> out);
 
 }  // namespace hg::kernels

@@ -4,285 +4,55 @@
 #include <stdexcept>
 #include <string>
 
-#include "kernels/bf16_ops.hpp"
-#include "kernels/int8_ops.hpp"
-#include "kernels/reference.hpp"
-#include "kernels/sddmm.hpp"
-#include "kernels/spmm_binary.hpp"
-#include "kernels/spmm_cusparse_like.hpp"
-#include "kernels/spmm_halfgnn.hpp"
-#include "nn/dispatch_registry.hpp"
 #include "nn/guard.hpp"
-#include "obs/trace.hpp"
+#include "nn/kernel_table.hpp"
 #include "simt/fault.hpp"
-#include "tensor/dense_ops.hpp"
 
 namespace hg::nn {
 
 namespace {
 
-void charge(const SparseCtx& ctx, const simt::KernelStats& ks) {
-  if (ctx.ledger != nullptr) ctx.ledger->add_sparse(ks);
-}
-
-// Record which kernel variant a mode-dispatched op resolved to and why —
-// an instant trace event plus a dispatch.<op>.<kernel> counter. Only pays
-// when the tracer or registry is enabled.
-void decided(const char* op, const char* kernel, const char* why) {
-  if (obs::tracer().enabled() || obs::registry().enabled()) {
-    obs::dispatch_decision(op, kernel, why);
-  }
-}
-
-// kDglHalf promotion helper: run `f32_op` on a half tensor through the AMP
-// float round trip, charging both conversions.
-template <class F32Op>
-MTensor promoted(const SparseCtx& ctx, const MTensor& in, F32Op&& op) {
-  MTensor in_f = to_dtype(in, Dtype::kF32, ctx.ledger);
-  MTensor out_f = op(in_f);
-  return to_dtype(out_f, Dtype::kF16, ctx.ledger);
-}
-
-// Retries the op body on injected simt::LaunchFault, up to the guard's
-// budget of attempts per call (the injector's launch ordinal advances on
-// every attempt, so a transient failure clears on retry). Bodies allocate
-// their outputs inside the lambda, so a fault that interrupts a multi-launch
-// op leaves no partial state behind for the retry. Without a guard the
-// fault propagates to the caller untouched.
-template <class F>
-MTensor guarded(const SparseCtx& ctx, const char* op, F&& body) {
+// Runs `op` on the kernel-table row its ladder resolves to for the context's
+// mode and `dt`. For ops with guard fallbacks the guard's current site
+// level picks the row, and the output's health feeds the guard together
+// with the label of the row the site would escalate to.
+//
+// An injected simt::LaunchFault is retried up to the guard's budget of
+// attempts per call (the injector's launch ordinal advances on every
+// attempt, so a transient failure clears on retry). Kernel functions
+// allocate their outputs per attempt, so a fault that interrupts a
+// multi-launch op leaves no partial state behind for the retry. Without a
+// guard the fault propagates to the caller untouched.
+MTensor dispatch(const SparseCtx& ctx, SparseOp op, Dtype dt,
+                 const OpArgs& args) {
+  const Ladder ladder = kernel_ladder(op, ctx.mode, dt);
+  const char* site = op_name(op);
+  const bool fallbacks = ctx.guard != nullptr && has_fallbacks(op);
+  const int level = fallbacks ? ctx.guard->level(site) : 0;
   const int budget =
       ctx.guard != nullptr ? std::max(1, ctx.guard->retry_budget()) : 1;
   for (int attempt = 1;; ++attempt) {
     try {
-      return body();
+      MTensor out = invoke(ladder.at(level), args);
+      if (fallbacks) {
+        ctx.guard->observe_output(site, out.has_nonfinite(), ladder.len,
+                                  std::string(ladder.at(level + 1).label));
+      }
+      return out;
     } catch (const simt::LaunchFault&) {
       if (attempt >= budget) throw;
-      ctx.guard->count_retry(op);
+      ctx.guard->count_retry(site);
     }
   }
-}
-
-// Edge-level ops run in the nearest *trainable* dtype: the PTQ dtypes
-// (i8/b1) quantize only the SpMM operands, so their edge work stays f32.
-Dtype edge_dtype(const SparseCtx& ctx) {
-  const Dtype dt = ctx.dtype();
-  return dtype_trainable(dt) ? dt : Dtype::kF32;
-}
-
-std::vector<float> to_f32_copy(const MTensor& t) {
-  std::vector<float> out(t.numel());
-  switch (t.dtype()) {
-    case Dtype::kF32: {
-      const auto s = t.f();
-      std::copy(s.begin(), s.end(), out.begin());
-      break;
-    }
-    case Dtype::kBf16: {
-      const auto s = t.b();
-      for (std::size_t i = 0; i < out.size(); ++i) out[i] = s[i].to_float();
-      break;
-    }
-    default: {
-      const auto s = t.h();
-      for (std::size_t i = 0; i < out.size(); ++i) out[i] = s[i].to_float();
-      break;
-    }
-  }
-  return out;
-}
-
-void write_back(MTensor& y, const std::vector<double>& ref) {
-  switch (y.dtype()) {
-    case Dtype::kF32: {
-      auto o = y.f();
-      for (std::size_t i = 0; i < o.size(); ++i) {
-        o[i] = static_cast<float>(ref[i]);
-      }
-      break;
-    }
-    case Dtype::kBf16: {
-      auto o = y.b();
-      for (std::size_t i = 0; i < o.size(); ++i) {
-        o[i] = bf16_t(static_cast<float>(ref[i]));
-      }
-      break;
-    }
-    default: {
-      auto o = y.h();
-      for (std::size_t i = 0; i < o.size(); ++i) {
-        o[i] = half_t(static_cast<float>(ref[i]));
-      }
-      break;
-    }
-  }
-}
-
-// Last link of every TrainGuard fallback chain: the serial host reference
-// (double accumulation). It never touches the SIMT substrate, so injected
-// faults cannot reach it; it also charges nothing to the cost model — the
-// guard has given up on the modeled kernel for this site.
-MTensor spmm_reference(const GraphCtx& g, const MTensor* edge_w,
-                       const MTensor& x, kernels::Reduce reduce) {
-  const int feat = static_cast<int>(x.cols());
-  const std::vector<float> xf = to_f32_copy(x);
-  std::vector<float> wf;
-  if (edge_w != nullptr) wf = to_f32_copy(*edge_w);
-  const auto ref = kernels::reference_spmm(g.csr(), wf, xf, feat, reduce);
-  MTensor y = MTensor::zeros(x.dtype(), g.n(), feat);
-  write_back(y, ref);
-  return y;
-}
-
-MTensor sddmm_reference(const GraphCtx& g, const MTensor& a,
-                        const MTensor& b) {
-  const int feat = static_cast<int>(a.cols());
-  const std::vector<float> af = to_f32_copy(a);
-  const std::vector<float> bf = to_f32_copy(b);
-  const auto ref = kernels::reference_sddmm(*g.view().coo, af, bf, feat);
-  MTensor out = MTensor::zeros(a.dtype(), g.m(), 1);
-  write_back(out, ref);
-  return out;
 }
 
 }  // namespace
 
 MTensor spmm(const SparseCtx& ctx, const GraphCtx& g, const MTensor* edge_w,
              const MTensor& x, kernels::Reduce reduce) {
-  const std::int64_t feat = x.cols();
-  const Dtype dt = ctx.dtype();
-  const DispatchChain& chain = dispatch_chain("spmm", ctx.mode, dt);
-  const int chain_len = chain.len();
-  const int level =
-      ctx.guard != nullptr
-          ? std::min(ctx.guard->level("spmm"), chain_len - 1)
-          : 0;
-  const std::string& kern = chain.at(level);
-
-  MTensor y = guarded(ctx, "spmm", [&]() -> MTensor {
-    if (kern == "spmm_reference") {
-      decided("spmm", "spmm_reference",
-              "guard fallback: host fp64 reference (outside the fault "
-              "domain)");
-      return spmm_reference(g, edge_w, x, reduce);
-    }
-    if (kern == "spmm_cusparse_f32" && dt == Dtype::kF16) {
-      // DGL-half escalation: the half kernel keeps overflowing, so pay the
-      // full AMP promotion — f32 inputs, f32 kernel, demote the result.
-      decided("spmm", "spmm_cusparse_f32",
-              "guard fallback: f32 promotion of the overflowing half SpMM");
-      MTensor w_f;
-      if (edge_w != nullptr) w_f = to_dtype(*edge_w, Dtype::kF32, ctx.ledger);
-      return promoted(ctx, x, [&](const MTensor& x_f) {
-        MTensor y_f = MTensor::f32(g.n(), feat);
-        charge(ctx, kernels::spmm_cusparse_f32(
-                        *ctx.stream, ctx.profiled, g.view(),
-                        edge_w != nullptr ? w_f.f()
-                                          : std::span<const float>{},
-                        x_f.f(), y_f.f(), static_cast<int>(feat), reduce));
-        return y_f;
-      });
-    }
-    if (kern == "spmm_int8") {
-      // PTQ path: operands arrive f32 (the model trained in f32); quantize
-      // on the way in, accumulate int32, dequantize in the kernel epilogue.
-      decided("spmm", "spmm_int8",
-              "dtype=i8: symmetric per-tensor PTQ (ExpHist-calibrated "
-              "scale), int32 accumulation");
-      const kernels::QuantParams xq = kernels::calibrate_int8(x.f());
-      AlignedVec<std::int8_t> xqbuf(x.numel());
-      charge(ctx, kernels::quantize_int8(*ctx.stream, ctx.profiled, x.f(),
-                                         std::span<std::int8_t>(xqbuf), xq));
-      kernels::QuantParams wq;
-      AlignedVec<std::int8_t> wqbuf;
-      if (edge_w != nullptr && reduce != kernels::Reduce::kMax) {
-        wq = kernels::calibrate_int8(edge_w->f());
-        wqbuf.resize(edge_w->numel());
-        charge(ctx,
-               kernels::quantize_int8(*ctx.stream, ctx.profiled, edge_w->f(),
-                                      std::span<std::int8_t>(wqbuf), wq));
-      }
-      MTensor out = MTensor::f32(g.n(), feat);
-      charge(ctx, kernels::spmm_int8(
-                      *ctx.stream, ctx.profiled, g.view(),
-                      std::span<const std::int8_t>(wqbuf), wq,
-                      std::span<const std::int8_t>(xqbuf), xq, out.f(),
-                      static_cast<int>(feat), reduce));
-      return out;
-    }
-    if (kern == "spmm_binary") {
-      decided("spmm", "spmm_binary",
-              "dtype=b1: sign-binarized features, 32x32 bit-transpose + "
-              "popcount aggregation (XNOR-Net scale)");
-      kernels::BinarizedFeatures xb;
-      charge(ctx, kernels::binarize_pack(*ctx.stream, ctx.profiled, x.f(),
-                                         static_cast<vid_t>(x.rows()),
-                                         static_cast<int>(feat), xb));
-      MTensor out = MTensor::f32(g.n(), feat);
-      charge(ctx, kernels::spmm_binary(*ctx.stream, ctx.profiled, g.view(),
-                                       xb, out.f(), static_cast<int>(feat),
-                                       reduce));
-      return out;
-    }
-    MTensor out = MTensor::zeros(x.dtype(), g.n(), feat);
-    if (kern == "spmm_cusparse_f16") {
-      decided("spmm", "spmm_cusparse_f16",
-              level > 0
-                  ? "guard fallback: row-parallel half path replacing the "
-                    "faulted halfgnn kernel"
-                  : "mode=DGL-half: scalar-load half path with atomic-half "
-                    "accumulation (Fig. 3a arithmetic)");
-      charge(ctx, kernels::spmm_cusparse_f16(
-                      *ctx.stream, ctx.profiled, g.view(),
-                      edge_w != nullptr ? edge_w->h()
-                                        : std::span<const half_t>{},
-                      x.h(), out.h(), static_cast<int>(feat), reduce));
-      return out;
-    }
-    if (kern == "spmm_cusparse_f32") {
-      decided("spmm", "spmm_cusparse_f32",
-              ctx.mode == SystemMode::kDglFloat
-                  ? "mode=DGL-float: row-parallel f32 cuSPARSE-like path"
-                  : "dtype=f32: lattice override runs the float path");
-      charge(ctx, kernels::spmm_cusparse_f32(
-                      *ctx.stream, ctx.profiled, g.view(),
-                      edge_w != nullptr ? edge_w->f()
-                                        : std::span<const float>{},
-                      x.f(), out.f(), static_cast<int>(feat), reduce));
-      return out;
-    }
-    if (kern == "spmm_halfgnn") {
-      kernels::HalfgnnSpmmOpts opts;
-      opts.reduce = reduce;
-      opts.scale = kernels::ScaleMode::kDiscretized;
-      decided("spmm", "spmm_halfgnn",
-              "mode=HalfGNN: edge-parallel half2 with discretized scaling "
-              "(overflow-protected reduction)");
-      charge(ctx, kernels::spmm_halfgnn(
-                      *ctx.stream, ctx.profiled, g.view(),
-                      edge_w != nullptr ? edge_w->h()
-                                        : std::span<const half_t>{},
-                      x.h(), out.h(), static_cast<int>(feat), opts));
-      return out;
-    }
-    if (kern == "spmm_bf16") {
-      decided("spmm", "spmm_bf16",
-              "dtype=bf16: warp-per-row register accumulation (f32-range "
-              "exponent, no overflow protection needed)");
-      charge(ctx, kernels::spmm_bf16(
-                      *ctx.stream, ctx.profiled, g.view(),
-                      edge_w != nullptr ? edge_w->b()
-                                        : std::span<const bf16_t>{},
-                      x.b(), out.b(), static_cast<int>(feat), reduce));
-      return out;
-    }
-    throw std::logic_error("spmm: unregistered kernel label " + kern);
-  });
-  if (ctx.guard != nullptr) {
-    ctx.guard->observe_output("spmm", y.has_nonfinite(), chain_len,
-                              chain.at(std::min(level + 1, chain_len - 1)));
-  }
-  return y;
+  return dispatch(ctx, SparseOp::kSpmm, ctx.dtype(),
+                  {.ctx = &ctx, .g = &g, .x = &x, .edge_w = edge_w,
+                   .reduce = reduce});
 }
 
 MTensor spmm_transposed(const SparseCtx& ctx, const GraphCtx& g,
@@ -300,308 +70,63 @@ MTensor sddmm(const SparseCtx& ctx, const GraphCtx& g, const MTensor& a,
   if (a.cols() != b.cols()) {
     throw std::invalid_argument("sddmm: feature width mismatch");
   }
-  const int feat = static_cast<int>(a.cols());
-  const Dtype dt = ctx.dtype();
-  const DispatchChain& chain = dispatch_chain("sddmm", ctx.mode, dt);
-  const int chain_len = chain.len();
-  const int level =
-      ctx.guard != nullptr
-          ? std::min(ctx.guard->level("sddmm"), chain_len - 1)
-          : 0;
-  const std::string& kern = chain.at(level);
-  MTensor out = guarded(ctx, "sddmm", [&]() -> MTensor {
-    if (kern == "sddmm_reference") {
-      decided("sddmm", "sddmm_reference",
-              "guard fallback: host fp64 reference (outside the fault "
-              "domain)");
-      return sddmm_reference(g, a, b);
-    }
-    MTensor o = MTensor::zeros(a.dtype(), g.m(), 1);
-    if (kern == "sddmm_dgl_f32") {
-      decided("sddmm", "sddmm_dgl_f32",
-              ctx.mode == SystemMode::kDglFloat
-                  ? "mode=DGL-float: scalar f32 dot per edge"
-                  : "dtype=f32/PTQ: attention scores stay float");
-      charge(ctx, kernels::sddmm_dgl_f32(*ctx.stream, ctx.profiled, g.view(),
-                                         a.f(), b.f(), o.f(), feat));
-      return o;
-    }
-    if (kern == "sddmm_dgl_f16") {
-      decided("sddmm", "sddmm_dgl_f16",
-              "mode=DGL-half: scalar half loads (no vectorization)");
-      charge(ctx, kernels::sddmm_dgl_f16(*ctx.stream, ctx.profiled, g.view(),
-                                         a.h(), b.h(), o.h(), feat));
-      return o;
-    }
-    if (kern == "sddmm_halfgnn") {
-      decided("sddmm", "sddmm_halfgnn",
-              "mode=HalfGNN: half8 vectorized loads (4x fewer sectors)");
-      charge(ctx, kernels::sddmm_halfgnn(*ctx.stream, ctx.profiled, g.view(),
-                                         a.h(), b.h(), o.h(), feat,
-                                         kernels::SddmmVec::kHalf8));
-      return o;
-    }
-    if (kern == "sddmm_bf16") {
-      decided("sddmm", "sddmm_bf16",
-              "dtype=bf16: scalar loads, per-op bf16 rounding at intrinsic "
-              "cost");
-      charge(ctx, kernels::sddmm_bf16(*ctx.stream, ctx.profiled, g.view(),
-                                      a.b(), b.b(), o.b(), feat));
-      return o;
-    }
-    throw std::logic_error("sddmm: unregistered kernel label " + kern);
-  });
-  if (ctx.guard != nullptr) {
-    ctx.guard->observe_output("sddmm", out.has_nonfinite(), chain_len,
-                              chain.at(std::min(level + 1, chain_len - 1)));
-  }
-  return out;
+  return dispatch(ctx, SparseOp::kSddmm, ctx.dtype(),
+                  {.ctx = &ctx, .g = &g, .x = &a, .y = &b});
 }
+
+// The edge ops below resolve on the context's dtype (the PTQ dtypes' edge
+// work runs in f32) or, for the backward-chain ops, on their operand's
+// dtype.
 
 MTensor seg_reduce(const SparseCtx& ctx, const GraphCtx& g,
                    const MTensor& edge_vals, kernels::SegReduce reduce) {
-  const Dtype dt = edge_dtype(ctx);
-  return guarded(ctx, "seg_reduce", [&]() -> MTensor {
-    if (dt == Dtype::kF32) {
-      MTensor out = MTensor::f32(g.n(), 1);
-      decided("seg_reduce", "edge_segment_reduce_f32",
-              ctx.mode == SystemMode::kDglFloat
-                  ? "mode=DGL-float"
-                  : "dtype=f32: lattice override reduces in float");
-      charge(ctx, kernels::edge_segment_reduce_f32(*ctx.stream, ctx.profiled,
-                                                   g.view(), edge_vals.f(),
-                                                   out.f(), reduce));
-      return out;
-    }
-    if (dt == Dtype::kBf16) {
-      MTensor out = MTensor::bf16(g.n(), 1);
-      decided("seg_reduce", "edge_segment_reduce_bf16",
-              "dtype=bf16: f32-range exponent, the reduction needs no "
-              "promotion");
-      charge(ctx, kernels::edge_segment_reduce_bf16(
-                      *ctx.stream, ctx.profiled, g.view(), edge_vals.b(),
-                      out.b(), reduce));
-      return out;
-    }
-    if (ctx.mode == SystemMode::kDglHalf &&
-        reduce == kernels::SegReduce::kSum) {
-      // AMP: 'sum' is float-promoted.
-      decided("seg_reduce", "edge_segment_reduce_f32",
-              "mode=DGL-half: AMP promotes 'sum' to float "
-              "(half->f32->half round trip)");
-      return promoted(ctx, edge_vals, [&](const MTensor& in_f) {
-        MTensor out = MTensor::f32(g.n(), 1);
-        charge(ctx, kernels::edge_segment_reduce_f32(
-                        *ctx.stream, ctx.profiled, g.view(), in_f.f(),
-                        out.f(), reduce));
-        return out;
-      });
-    }
-    MTensor out = MTensor::f16(g.n(), 1);
-    decided("seg_reduce", "edge_segment_reduce_f16",
-            ctx.mode == SystemMode::kHalfGnn
-                ? "mode=HalfGNN: shadow half reduction (range-safe)"
-                : "mode=DGL-half: max/min stay half under AMP");
-    charge(ctx, kernels::edge_segment_reduce_f16(*ctx.stream, ctx.profiled,
-                                                 g.view(), edge_vals.h(),
-                                                 out.h(), reduce));
-    return out;
-  });
+  return dispatch(
+      ctx,
+      reduce == kernels::SegReduce::kSum ? SparseOp::kSegSum
+                                         : SparseOp::kSegMax,
+      ctx.dtype(), {.ctx = &ctx, .g = &g, .x = &edge_vals, .seg = reduce});
 }
 
 MTensor edge_add_scalars(const SparseCtx& ctx, const GraphCtx& g,
                          const MTensor& el, const MTensor& er, float slope) {
-  const Dtype dt = edge_dtype(ctx);
-  return guarded(ctx, "edge_add_scalars", [&]() -> MTensor {
-    if (dt == Dtype::kF32) {
-      MTensor out = MTensor::f32(g.m(), 1);
-      charge(ctx, kernels::edge_add_scalars_f32(*ctx.stream, ctx.profiled,
-                                                g.view(), el.f(), er.f(),
-                                                out.f(), slope));
-      return out;
-    }
-    if (dt == Dtype::kBf16) {
-      MTensor out = MTensor::bf16(g.m(), 1);
-      charge(ctx, kernels::edge_add_scalars_bf16(*ctx.stream, ctx.profiled,
-                                                 g.view(), el.b(), er.b(),
-                                                 out.b(), slope));
-      return out;
-    }
-    MTensor out = MTensor::f16(g.m(), 1);
-    charge(ctx,
-           kernels::edge_add_scalars_f16(*ctx.stream, ctx.profiled, g.view(),
-                                         el.h(), er.h(), out.h(), slope));
-    return out;
-  });
+  return dispatch(ctx, SparseOp::kEdgeAddScalars, ctx.dtype(),
+                  {.ctx = &ctx, .g = &g, .x = &el, .y = &er, .slope = slope});
 }
 
 MTensor edge_exp_sub_row(const SparseCtx& ctx, const GraphCtx& g,
                          const MTensor& vals, const MTensor& rowv) {
-  const Dtype dt = edge_dtype(ctx);
-  return guarded(ctx, "edge_exp", [&]() -> MTensor {
-    if (dt == Dtype::kF32) {
-      MTensor out = MTensor::f32(g.m(), 1);
-      decided("edge_exp", "edge_exp_sub_row_f32",
-              ctx.mode == SystemMode::kDglFloat
-                  ? "mode=DGL-float"
-                  : "dtype=f32: lattice override");
-      charge(ctx, kernels::edge_exp_sub_row_f32(*ctx.stream, ctx.profiled,
-                                                g.view(), vals.f(),
-                                                rowv.f(), out.f()));
-      return out;
-    }
-    if (dt == Dtype::kBf16) {
-      // bf16 exp needs no shadow argument: the f32-range exponent makes
-      // exp(e - max) with e - max <= 0 trivially safe.
-      decided("edge_exp", "edge_exp_sub_row_bf16",
-              "dtype=bf16: exp in range by construction (e - max <= 0)");
-      MTensor out = MTensor::bf16(g.m(), 1);
-      charge(ctx, kernels::edge_exp_sub_row_bf16(*ctx.stream, ctx.profiled,
-                                                 g.view(), vals.b(),
-                                                 rowv.b(), out.b()));
-      return out;
-    }
-    if (ctx.mode == SystemMode::kDglHalf) {
-      // AMP promotes exp: both operands ride to float, the result rides
-      // back (the exact churn Sec. 3.1.2 dissects).
-      decided("edge_exp", "edge_exp_sub_row_f32",
-              "mode=DGL-half: autocast promotes exp to f32 "
-              "(conversion churn both ways)");
-      MTensor rowv_f = to_dtype(rowv, Dtype::kF32, ctx.ledger);
-      return promoted(ctx, vals, [&](const MTensor& vals_f) {
-        MTensor out = MTensor::f32(g.m(), 1);
-        charge(ctx, kernels::edge_exp_sub_row_f32(
-                        *ctx.stream, ctx.profiled, g.view(), vals_f.f(),
-                        rowv_f.f(), out.f()));
-        return out;
-      });
-    }
-    // Shadow exp (Sec. 5.3): vals - rowmax <= 0, so half is safe.
-    decided("edge_exp", "edge_exp_sub_row_f16",
-            "mode=HalfGNN: shadow half exp (e - max <= 0, in range)");
-    MTensor out = MTensor::f16(g.m(), 1);
-    charge(ctx, kernels::edge_exp_sub_row_f16(*ctx.stream, ctx.profiled,
-                                              g.view(), vals.h(),
-                                              rowv.h(), out.h()));
-    return out;
-  });
+  return dispatch(ctx, SparseOp::kEdgeExp, ctx.dtype(),
+                  {.ctx = &ctx, .g = &g, .x = &vals, .y = &rowv});
 }
 
 MTensor edge_div_row(const SparseCtx& ctx, const GraphCtx& g,
                      const MTensor& vals, const MTensor& rowv) {
-  const Dtype dt = edge_dtype(ctx);
-  return guarded(ctx, "edge_div_row", [&]() -> MTensor {
-    if (dt == Dtype::kF32) {
-      MTensor out = MTensor::f32(g.m(), 1);
-      charge(ctx, kernels::edge_div_row_f32(*ctx.stream, ctx.profiled,
-                                            g.view(), vals.f(), rowv.f(),
-                                            out.f()));
-      return out;
-    }
-    if (dt == Dtype::kBf16) {
-      const MTensor vh = vals.dtype() == Dtype::kBf16
-                             ? to_dtype(vals, Dtype::kBf16, nullptr)
-                             : to_dtype(vals, Dtype::kBf16, ctx.ledger);
-      const MTensor rh = rowv.dtype() == Dtype::kBf16
-                             ? to_dtype(rowv, Dtype::kBf16, nullptr)
-                             : to_dtype(rowv, Dtype::kBf16, ctx.ledger);
-      MTensor out = MTensor::bf16(g.m(), 1);
-      charge(ctx, kernels::edge_div_row_bf16(*ctx.stream, ctx.profiled,
-                                             g.view(), vh.b(), rh.b(),
-                                             out.b()));
-      return out;
-    }
-    // Inputs may arrive in float (post-promotion); bring them home to half
-    // first — DGL does exactly this to invoke its half kernels (Sec. 3.1.2).
-    const MTensor vh = vals.dtype() == Dtype::kF16
-                           ? to_dtype(vals, Dtype::kF16, nullptr)
-                           : to_dtype(vals, Dtype::kF16, ctx.ledger);
-    const MTensor rh = rowv.dtype() == Dtype::kF16
-                           ? to_dtype(rowv, Dtype::kF16, nullptr)
-                           : to_dtype(rowv, Dtype::kF16, ctx.ledger);
-    MTensor out = MTensor::f16(g.m(), 1);
-    charge(ctx, kernels::edge_div_row_f16(*ctx.stream, ctx.profiled, g.view(),
-                                          vh.h(), rh.h(), out.h()));
-    return out;
-  });
+  return dispatch(ctx, SparseOp::kEdgeDivRow, ctx.dtype(),
+                  {.ctx = &ctx, .g = &g, .x = &vals, .y = &rowv});
 }
 
 MTensor edge_mul(const SparseCtx& ctx, const MTensor& a, const MTensor& b) {
-  return guarded(ctx, "edge_mul", [&]() -> MTensor {
-    MTensor out = MTensor::zeros(a.dtype(), a.rows(), a.cols());
-    if (a.dtype() == Dtype::kF32) {
-      charge(ctx, kernels::edge_mul_f32(*ctx.stream, ctx.profiled, a.f(),
-                                        b.f(), out.f()));
-    } else if (a.dtype() == Dtype::kBf16) {
-      charge(ctx, kernels::edge_mul_bf16(*ctx.stream, ctx.profiled, a.b(),
-                                         b.b(), out.b()));
-    } else {
-      charge(ctx, kernels::edge_mul_f16(*ctx.stream, ctx.profiled, a.h(),
-                                        b.h(), out.h()));
-    }
-    return out;
-  });
+  return dispatch(ctx, SparseOp::kEdgeMul, a.dtype(),
+                  {.ctx = &ctx, .x = &a, .y = &b});
 }
 
 MTensor edge_softmax_backward(const SparseCtx& ctx, const GraphCtx& g,
                               const MTensor& alpha, const MTensor& dalpha,
                               const MTensor& c) {
-  return guarded(ctx, "edge_softmax_backward", [&]() -> MTensor {
-    MTensor out = MTensor::zeros(alpha.dtype(), alpha.rows(), 1);
-    if (alpha.dtype() == Dtype::kF32) {
-      charge(ctx, kernels::edge_softmax_backward_f32(
-                      *ctx.stream, ctx.profiled, g.view(), alpha.f(),
-                      dalpha.f(), c.f(), out.f()));
-    } else if (alpha.dtype() == Dtype::kBf16) {
-      charge(ctx, kernels::edge_softmax_backward_bf16(
-                      *ctx.stream, ctx.profiled, g.view(), alpha.b(),
-                      dalpha.b(), c.b(), out.b()));
-    } else {
-      charge(ctx, kernels::edge_softmax_backward_f16(
-                      *ctx.stream, ctx.profiled, g.view(), alpha.h(),
-                      dalpha.h(), c.h(), out.h()));
-    }
-    return out;
-  });
+  return dispatch(ctx, SparseOp::kEdgeSoftmaxBwd, alpha.dtype(),
+                  {.ctx = &ctx, .g = &g, .x = &alpha, .y = &dalpha, .z = &c});
 }
 
 MTensor edge_leaky_backward(const SparseCtx& ctx, const MTensor& pre,
                             const MTensor& grad, float slope) {
-  return guarded(ctx, "edge_leaky_backward", [&]() -> MTensor {
-    MTensor out = MTensor::zeros(grad.dtype(), grad.rows(), 1);
-    if (grad.dtype() == Dtype::kF32) {
-      charge(ctx, kernels::edge_leaky_backward_f32(*ctx.stream, ctx.profiled,
-                                                   pre.f(), grad.f(),
-                                                   out.f(), slope));
-    } else if (grad.dtype() == Dtype::kBf16) {
-      charge(ctx, kernels::edge_leaky_backward_bf16(*ctx.stream, ctx.profiled,
-                                                    pre.b(), grad.b(),
-                                                    out.b(), slope));
-    } else {
-      charge(ctx, kernels::edge_leaky_backward_f16(*ctx.stream, ctx.profiled,
-                                                   pre.h(), grad.h(),
-                                                   out.h(), slope));
-    }
-    return out;
-  });
+  return dispatch(ctx, SparseOp::kEdgeLeakyBwd, grad.dtype(),
+                  {.ctx = &ctx, .x = &pre, .y = &grad, .slope = slope});
 }
 
 MTensor edge_permute(const SparseCtx& ctx, const MTensor& in,
                      std::span<const eid_t> perm) {
-  return guarded(ctx, "edge_permute", [&]() -> MTensor {
-    MTensor out = MTensor::zeros(in.dtype(), in.rows(), in.cols());
-    if (in.dtype() == Dtype::kF32) {
-      charge(ctx, kernels::edge_permute_f32(*ctx.stream, ctx.profiled, in.f(),
-                                            perm, out.f()));
-    } else if (in.dtype() == Dtype::kBf16) {
-      charge(ctx, kernels::edge_permute_bf16(*ctx.stream, ctx.profiled,
-                                             in.b(), perm, out.b()));
-    } else {
-      charge(ctx, kernels::edge_permute_f16(*ctx.stream, ctx.profiled, in.h(),
-                                            perm, out.h()));
-    }
-    return out;
-  });
+  return dispatch(ctx, SparseOp::kEdgePermute, in.dtype(),
+                  {.ctx = &ctx, .x = &in, .perm = perm});
 }
 
 }  // namespace hg::nn

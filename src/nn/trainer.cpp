@@ -165,13 +165,9 @@ TrainResult train(ModelKind kind, SystemMode mode, const Dataset& d,
   const bool prof_numerics = prof.active() && prof.config().numerics();
   if (use_guard) guard.set_profiler(&prof);
   const auto prof_sample = [&prof](const std::string& name, const MTensor& t) {
-    if (t.dtype() == Dtype::kF16) {
-      prof.sample_tensor(name, t.h());
-    } else if (t.dtype() == Dtype::kBf16) {
-      prof.sample_tensor(name, t.b());
-    } else {
-      prof.sample_tensor(name, t.f());
-    }
+    visit(t, [&](const auto* p) {
+      prof.sample_tensor(name, std::span(p, t.numel()));
+    });
   };
 
   // Durable checkpoint store; the torn-write plan comes from the device's

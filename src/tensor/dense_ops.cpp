@@ -60,16 +60,6 @@ void for_row_blocks(const MTensor& x, const RangeFn& fn) {
   for_blocks(x.rows(), std::max<std::int64_t>(1, kElemsPerJob / cols), fn);
 }
 
-// Calls fn with x's storage as a typed (const if x is) pointer.
-template <class M, class F>
-void visit(M& x, F&& fn) {
-  switch (x.dtype()) {
-    case Dtype::kF16: fn(x.h().data()); break;
-    case Dtype::kBf16: fn(x.b().data()); break;
-    default: fn(x.f().data()); break;
-  }
-}
-
 inline float to_f(float v) { return v; }
 inline float to_f(half_t v) { return v.to_float(); }
 inline float to_f(bf16_t v) { return v.to_float(); }
@@ -225,17 +215,10 @@ DensePoolScope::~DensePoolScope() { t_pool_device = prev_; }
 MTensor to_dtype(const MTensor& in, Dtype dt, CostLedger* ledger) {
   MTensor out = MTensor::zeros(dt, in.rows(), in.cols());
   if (in.dtype() == dt) {
-    switch (dt) {
-      case Dtype::kF32:
-        std::copy(in.f().begin(), in.f().end(), out.f().begin());
-        break;
-      case Dtype::kF16:
-        std::copy(in.h().begin(), in.h().end(), out.h().begin());
-        break;
-      default:
-        std::copy(in.b().begin(), in.b().end(), out.b().begin());
-        break;
-    }
+    visit(out, [&in](auto* o) {
+      const auto src = in.as<std::remove_pointer_t<decltype(o)>>();
+      std::copy(src.begin(), src.end(), o);
+    });
     return out;  // same-dtype copy: no conversion charged
   }
   // Cross-dtype: every pair goes through float (exact for f16->f32 and

@@ -14,6 +14,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "half/bf16.hpp"
 #include "half/dtype.hpp"
@@ -28,42 +29,33 @@ class MTensor {
   MTensor() = default;
 
   static MTensor f32(std::int64_t rows, std::int64_t cols) {
-    MTensor t;
-    t.dtype_ = Dtype::kF32;
-    t.rows_ = rows;
-    t.cols_ = cols;
-    t.f_.assign(static_cast<std::size_t>(rows * cols), 0.0f);
-    return t;
+    return zeros(Dtype::kF32, rows, cols);
   }
   static MTensor f16(std::int64_t rows, std::int64_t cols) {
-    MTensor t;
-    t.dtype_ = Dtype::kF16;
-    t.rows_ = rows;
-    t.cols_ = cols;
-    t.h_.assign(static_cast<std::size_t>(rows * cols), half_t(0.0f));
-    return t;
+    return zeros(Dtype::kF16, rows, cols);
   }
   static MTensor bf16(std::int64_t rows, std::int64_t cols) {
-    MTensor t;
-    t.dtype_ = Dtype::kBf16;
-    t.rows_ = rows;
-    t.cols_ = cols;
-    t.b_.assign(static_cast<std::size_t>(rows * cols), bf16_t(0.0f));
-    return t;
+    return zeros(Dtype::kBf16, rows, cols);
   }
   static MTensor like(const MTensor& o, std::int64_t rows,
                       std::int64_t cols) {
     return zeros(o.dtype(), rows, cols);
   }
   static MTensor zeros(Dtype d, std::int64_t rows, std::int64_t cols) {
+    MTensor t;
+    t.dtype_ = d;
+    t.rows_ = rows;
+    t.cols_ = cols;
+    const auto n = static_cast<std::size_t>(rows * cols);
     switch (d) {
-      case Dtype::kF32: return f32(rows, cols);
-      case Dtype::kF16: return f16(rows, cols);
-      case Dtype::kBf16: return bf16(rows, cols);
+      case Dtype::kF32: t.f_.assign(n, 0.0f); break;
+      case Dtype::kF16: t.h_.assign(n, half_t(0.0f)); break;
+      case Dtype::kBf16: t.b_.assign(n, bf16_t(0.0f)); break;
       default:
         throw std::invalid_argument("MTensor: no storage for dtype " +
                                     std::string(dtype_name(d)));
     }
+    return t;
   }
 
   Dtype dtype() const noexcept { return dtype_; }
@@ -97,6 +89,29 @@ class MTensor {
   std::span<const bf16_t> b() const {
     assert(dtype_ == Dtype::kBf16);
     return b_;
+  }
+
+  // Storage as T, which must be the element type of dtype(): float,
+  // half_t or bf16_t.
+  template <class T>
+  std::span<T> as() {
+    if constexpr (std::is_same_v<T, float>) {
+      return f();
+    } else if constexpr (std::is_same_v<T, half_t>) {
+      return h();
+    } else {
+      return b();
+    }
+  }
+  template <class T>
+  std::span<const T> as() const {
+    if constexpr (std::is_same_v<T, float>) {
+      return f();
+    } else if constexpr (std::is_same_v<T, half_t>) {
+      return h();
+    } else {
+      return b();
+    }
   }
 
   // Value access regardless of dtype (reads convert, writes round).
@@ -153,6 +168,17 @@ class MTensor {
   AlignedVec<half_t> h_;
   AlignedVec<bf16_t> b_;
 };
+
+// Calls fn with x's storage as a typed (const if x is) pointer: float*,
+// half_t* or bf16_t*, so one generic body serves every storage dtype.
+template <class M, class F>
+void visit(M& x, F&& fn) {
+  switch (x.dtype()) {
+    case Dtype::kF16: fn(x.h().data()); break;
+    case Dtype::kBf16: fn(x.b().data()); break;
+    default: fn(x.f().data()); break;
+  }
+}
 
 // Xavier/Glorot-uniform initialization into a float tensor.
 inline void xavier_init(MTensor& w, Rng& rng) {

@@ -12,10 +12,9 @@
 #include <string>
 #include <vector>
 
-#include "check/kernel_meta.hpp"
 #include "check/lint.hpp"
 #include "graph/generators.hpp"
-#include "nn/dispatch_registry.hpp"
+#include "nn/kernel_table.hpp"
 #include "obs/prof/prof.hpp"
 #include "simt/fault.hpp"
 #include "simt/sanitizer.hpp"
@@ -110,17 +109,18 @@ TEST(CheckExhaustive, EveryDtypeHasDispatchChainsWithMetadata) {
   const nn::SystemMode modes[] = {nn::SystemMode::kDglFloat,
                                   nn::SystemMode::kDglHalf,
                                   nn::SystemMode::kHalfGnn};
-  for (const std::string_view op : nn::dispatch_ops()) {
+  // Every ladder row carries its metadata by construction; what remains
+  // to check is that every key resolves and the guarded ops end in the
+  // host reference.
+  for (const nn::SparseOp op : nn::kSparseOps) {
     for (const nn::SystemMode mode : modes) {
       for (const Dtype dt : all_dtypes()) {
-        const nn::DispatchChain& chain = nn::dispatch_chain(op, mode, dt);
-        ASSERT_GE(chain.len(), 1) << op << "/" << nn::mode_name(mode) << "/"
-                                  << dtype_name(dt);
-        EXPECT_TRUE(nn::is_reference_kernel(
-            chain.kernels[static_cast<std::size_t>(chain.len() - 1)]));
-        for (const std::string& label : chain.kernels) {
-          EXPECT_NE(kernel_meta(label), nullptr)
-              << "chain entry without kernel metadata: " << label;
+        const nn::Ladder ladder = nn::kernel_ladder(op, mode, dt);
+        ASSERT_GE(ladder.len, 1) << nn::op_name(op) << "/"
+                                 << nn::mode_name(mode) << "/"
+                                 << dtype_name(dt);
+        if (nn::has_fallbacks(op)) {
+          EXPECT_FALSE(ladder.at(ladder.len - 1).launches());
         }
       }
     }
@@ -149,22 +149,22 @@ TEST(CheckExhaustive, EveryDtypeHasATransferFunctionEntry) {
 }
 
 TEST(CheckExhaustive, MetaTableLaunchNamesNonEmptyForDeviceKernels) {
-  for (const KernelMeta& m : all_kernel_meta()) {
-    if (m.launches) {
-      EXPECT_FALSE(m.launched.empty()) << m.label;
+  for (const nn::KernelDesc& m : nn::kernel_table()) {
+    if (m.launches()) {
+      EXPECT_FALSE(m.launched().empty()) << m.label;
     } else {
-      EXPECT_TRUE(m.launched.empty()) << m.label;
+      EXPECT_TRUE(m.launched().empty()) << m.label;
     }
   }
 }
 
 TEST(CheckExhaustive, HalfgnnBatchCapMatchesKernelGeometry) {
   // feat >= 64: one sub-warp covers the row, 128-edge batches.
-  EXPECT_EQ(halfgnn_batch_cap(64), 128);
-  EXPECT_EQ(halfgnn_batch_cap(256), 128);
+  EXPECT_EQ(nn::halfgnn_batch_cap(64), 128);
+  EXPECT_EQ(nn::halfgnn_batch_cap(256), 128);
   // feat 8 -> half_f 4 -> 8 sub-warps sharing 128 edges.
-  EXPECT_EQ(halfgnn_batch_cap(8), 16);
-  EXPECT_GE(halfgnn_batch_cap(1), 1);
+  EXPECT_EQ(nn::halfgnn_batch_cap(8), 16);
+  EXPECT_GE(nn::halfgnn_batch_cap(1), 1);
 }
 
 // ---------------------------------------------------------------------------

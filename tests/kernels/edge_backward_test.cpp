@@ -37,7 +37,7 @@ TEST(EdgeBackward, SoftmaxBackwardMatchesFormula) {
   for (auto& v : c) v = rng.next_float();
 
   AlignedVec<float> out(me);
-  edge_softmax_backward_f32(simt::default_stream(), false, t.g, alpha, dalpha, c,
+  edge_softmax_backward<float>(simt::default_stream(), false, t.g, alpha, dalpha, c,
                             out);
   for (eid_t e = 0; e < t.csr.num_edges(); ++e) {
     const auto eu = static_cast<std::size_t>(e);
@@ -51,7 +51,7 @@ TEST(EdgeBackward, LeakyBackwardUsesPreActivationSign) {
   std::vector<float> pre = {1.0f, -2.0f, 0.5f, -0.1f};
   std::vector<float> grad = {4.0f, 4.0f, -2.0f, -2.0f};
   AlignedVec<float> out(4);
-  edge_leaky_backward_f32(simt::default_stream(), false, pre, grad, out, 0.25f);
+  edge_leaky_backward<float>(simt::default_stream(), false, pre, grad, out, 0.25f);
   EXPECT_FLOAT_EQ(out[0], 4.0f);
   EXPECT_FLOAT_EQ(out[1], 1.0f);
   EXPECT_FLOAT_EQ(out[2], -2.0f);
@@ -64,7 +64,7 @@ TEST(EdgeBackward, LeakyBackwardUsesPreActivationSign) {
     gradh[static_cast<std::size_t>(i)] =
         half_t(grad[static_cast<std::size_t>(i)]);
   }
-  edge_leaky_backward_f16(simt::default_stream(), false, preh, gradh, outh,
+  edge_leaky_backward<half_t>(simt::default_stream(), false, preh, gradh, outh,
                           0.25f);
   EXPECT_FLOAT_EQ(outh[1].to_float(), 1.0f);
 }
@@ -78,13 +78,13 @@ TEST(EdgeBackward, PermuteAppliesReverseEdgeMap) {
   std::vector<float> vals(me);
   for (std::size_t e = 0; e < me; ++e) vals[e] = static_cast<float>(e);
   AlignedVec<float> out(me);
-  edge_permute_f32(simt::default_stream(), false, vals, perm, out);
+  edge_permute<float>(simt::default_stream(), false, vals, perm, out);
   for (std::size_t e = 0; e < me; ++e) {
     ASSERT_FLOAT_EQ(out[e], static_cast<float>(perm[e]));
   }
   // Permuting twice is the identity (the map is an involution).
   AlignedVec<float> back(me);
-  edge_permute_f32(simt::default_stream(), false,
+  edge_permute<float>(simt::default_stream(), false,
                    std::span<const float>(out.data(), out.size()), perm,
                    back);
   for (std::size_t e = 0; e < me; ++e) {

@@ -157,14 +157,14 @@ TEST(EdgeOps, SegmentReduceMatchesSerial) {
       expect[static_cast<std::size_t>(v)] = acc;
     }
     AlignedVec<float> out(static_cast<std::size_t>(t.csr.num_vertices));
-    edge_segment_reduce_f32(simt::default_stream(), false, t.g, vals, out, red);
+    edge_segment_reduce<float>(simt::default_stream(), false, t.g, vals, out, red);
     for (std::size_t v = 0; v < out.size(); ++v) {
       ASSERT_NEAR(out[v], expect[v], 1e-3 + 1e-4 * std::abs(expect[v])) << v;
     }
     // half flavor
     const auto vh = to_half(vals);
     AlignedVec<half_t> outh(out.size());
-    edge_segment_reduce_f16(simt::default_stream(), false, t.g, vh, outh, red);
+    edge_segment_reduce<half_t>(simt::default_stream(), false, t.g, vh, outh, red);
     for (std::size_t v = 0; v < out.size(); ++v) {
       ASSERT_NEAR(outh[v].to_float(), expect[v],
                   0.05 + 0.03 * std::abs(expect[v]))
@@ -189,13 +189,13 @@ TEST(EdgeOps, SoftmaxPipelineMatchesSerialAndStaysFiniteInHalf) {
 
   AlignedVec<half_t> score(me), expd(me), alpha(me);
   AlignedVec<half_t> rowmax(n), rowsum(n);
-  edge_add_scalars_f16(simt::default_stream(), false, t.g, elh, erh, score, 0.2f);
-  edge_segment_reduce_f16(simt::default_stream(), false, t.g, score, rowmax,
+  edge_add_scalars<half_t>(simt::default_stream(), false, t.g, elh, erh, score, 0.2f);
+  edge_segment_reduce<half_t>(simt::default_stream(), false, t.g, score, rowmax,
                           SegReduce::kMax);
-  edge_exp_sub_row_f16(simt::default_stream(), false, t.g, score, rowmax, expd);
-  edge_segment_reduce_f16(simt::default_stream(), false, t.g, expd, rowsum,
+  edge_exp_sub_row<half_t>(simt::default_stream(), false, t.g, score, rowmax, expd);
+  edge_segment_reduce<half_t>(simt::default_stream(), false, t.g, expd, rowsum,
                           SegReduce::kSum);
-  edge_div_row_f16(simt::default_stream(), false, t.g, expd, rowsum, alpha);
+  edge_div_row<half_t>(simt::default_stream(), false, t.g, expd, rowsum, alpha);
 
   // Per-row, alpha must be a valid distribution.
   for (vid_t v = 0; v < t.csr.num_vertices; ++v) {
@@ -220,13 +220,13 @@ TEST(EdgeOps, EdgeMul) {
   for (auto& v : a) v = rng.next_float();
   for (auto& v : b) v = rng.next_float();
   AlignedVec<float> out(1000);
-  edge_mul_f32(simt::default_stream(), false, a, b, out);
+  edge_mul<float>(simt::default_stream(), false, a, b, out);
   for (std::size_t i = 0; i < 1000; ++i) {
     ASSERT_FLOAT_EQ(out[i], a[i] * b[i]);
   }
   const auto ah = to_half(a), bh = to_half(b);
   AlignedVec<half_t> outh(1000);
-  edge_mul_f16(simt::default_stream(), false, ah, bh, outh);
+  edge_mul<half_t>(simt::default_stream(), false, ah, bh, outh);
   for (std::size_t i = 0; i < 1000; ++i) {
     ASSERT_EQ(outh[i].bits(), (ah[i] * bh[i]).bits());
   }

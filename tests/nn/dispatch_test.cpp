@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "kernels/reference.hpp"
-#include "nn/dispatch_registry.hpp"
 #include "nn/guard.hpp"
+#include "nn/kernel_table.hpp"
 #include "nn/sparse_dispatch.hpp"
 #include "obs/metrics.hpp"
 #include "tensor/dense_ops.hpp"
@@ -137,14 +140,24 @@ TEST(SparseDispatch, SddmmDispatchesPerMode) {
   }
 }
 
-// The dtype-keyed registry is the single source of truth for what runs at
-// each guard escalation level. Pin the full (op, dtype) table: native
-// kernel first, reference last, with the f16 chain still keyed on mode
-// (HalfGNN's shadow kernel vs DGL-half's f32 promotion detour).
+// The labels of the (op, mode, dtype) ladder, level 0 first.
+std::vector<std::string> ladder_labels(SparseOp op, SystemMode m, Dtype dt) {
+  const Ladder l = kernel_ladder(op, m, dt);
+  std::vector<std::string> out;
+  for (int i = 0; i < l.len; ++i) out.emplace_back(l.at(i).label);
+  return out;
+}
+
+// The kernel table is the single source of truth for what runs at each
+// guard escalation level. Pin the full (op, dtype) table: native kernel
+// first, reference last, with the f16 ladder still keyed on mode (HalfGNN's
+// shadow kernel vs DGL-half's f32 promotion detour).
 TEST(DispatchRegistry, FullOpDtypeTable) {
   using K = std::vector<std::string>;
   const auto chain = [](const char* op, SystemMode m, Dtype dt) {
-    return dispatch_chain(op, m, dt).kernels;
+    return ladder_labels(std::string(op) == "spmm" ? SparseOp::kSpmm
+                                                   : SparseOp::kSddmm,
+                         m, dt);
   };
   const SystemMode hg = SystemMode::kHalfGnn;
   EXPECT_EQ(chain("spmm", hg, Dtype::kF32),
@@ -178,15 +191,19 @@ TEST(DispatchRegistry, FullOpDtypeTable) {
 
 TEST(DispatchRegistry, UnknownDtypeFallsBackToF32Reference) {
   const auto bogus = static_cast<Dtype>(99);
-  for (const char* op : {"spmm", "sddmm"}) {
-    const DispatchChain& c =
-        dispatch_chain(op, SystemMode::kHalfGnn, bogus);
-    ASSERT_EQ(c.len(), 1) << op;
-    EXPECT_EQ(c.kernels.front(),
-              std::string(op) + "_reference") << op;
+  for (const SparseOp op : {SparseOp::kSpmm, SparseOp::kSddmm}) {
+    const Ladder l = kernel_ladder(op, SystemMode::kHalfGnn, bogus);
+    ASSERT_EQ(l.len, 1) << op_name(op);
+    EXPECT_EQ(l.at(0).label, std::string(op_name(op)) + "_reference")
+        << op_name(op);
     // at() clamps past-the-end levels to the last (reference) entry.
-    EXPECT_EQ(c.at(0), c.at(7)) << op;
+    EXPECT_EQ(&l.at(0), &l.at(7)) << op_name(op);
   }
+  // Edge ops have no reference to fall back to: an unserved dtype is a
+  // table error, not a silent guess.
+  EXPECT_THROW(
+      (void)kernel_ladder(SparseOp::kEdgeMul, SystemMode::kHalfGnn, bogus),
+      std::logic_error);
 }
 
 // Each dtype's guard ladder follows its registry chain: after an overflow
@@ -234,10 +251,10 @@ TEST(SparseDispatch, GuardLaddersFollowThePerDtypeChains) {
 
     // Simulate the overflow streak the dispatcher would observe, then
     // confirm the next call runs the chain's level-1 kernel.
-    const DispatchChain& chain =
-        dispatch_chain("spmm", SystemMode::kHalfGnn, c.dt);
-    guard.observe_output("spmm", /*nonfinite=*/true, chain.len(),
-                         chain.at(1));
+    const Ladder chain = kernel_ladder(SparseOp::kSpmm, SystemMode::kHalfGnn,
+                                       c.dt);
+    guard.observe_output("spmm", /*nonfinite=*/true, chain.len,
+                         std::string(chain.at(1).label));
     ASSERT_EQ(guard.level("spmm"), 1) << dtype_name(c.dt);
     (void)spmm(ctx, *fx.g, nullptr, x, kernels::Reduce::kMean);
     EXPECT_EQ(obs::registry().counter_value(std::string("dispatch.spmm.") +
@@ -287,6 +304,107 @@ TEST(SparseDispatch, LatticeDtypesTrackTheF32Spmm) {
       EXPECT_NEAR(yq.get(i, j), f, 0.03 + 0.05 * std::abs(f)) << i;
       EXPECT_TRUE(std::isfinite(y1.get(i, j))) << i;
     }
+  }
+}
+
+// Every row of the kernel table, run once per configuration its op admits
+// on a small graph under the cost model: the device kernels it actually
+// launches (LaunchDesc names, as the metrics registry records them) must
+// be exactly the row's launched() list. This covers the fallback levels
+// and AMP promotions too, which the soundness bridge never reaches (it
+// only predicts level 0).
+TEST(KernelTable, LaunchedNamesMatchLaunches) {
+  Fixture fx(31);
+  Rng rng(32);
+  const std::int64_t n = fx.csr.num_vertices;
+  const std::int64_t m = fx.csr.num_edges();
+  const int feat = 16;
+  const auto operand = [&](Dtype dt, std::int64_t rows, std::int64_t cols) {
+    MTensor t = MTensor::f32(rows, cols);
+    for (auto& v : t.f()) v = rng.next_float() * 2 - 1;
+    return to_dtype(t, dt, nullptr);
+  };
+  // Names a kernel entry point launches only under options no row selects
+  // (SDDMM vector widths below half8, the halfgnn SpMM's post-reduction
+  // scale). The rows list them so hgcheck predicts them for direct callers.
+  const std::set<std::string> never_dispatched{
+      "sddmm_halfgnn_h2", "sddmm_halfgnn_h4", "spmm_halfgnn_postscale"};
+
+  // Every row sits on some ladder.
+  std::set<const KernelDesc*> on_a_ladder;
+  for (const SparseOp op : kSparseOps) {
+    for (const SystemMode mode : {SystemMode::kDglFloat, SystemMode::kDglHalf,
+                                  SystemMode::kHalfGnn}) {
+      for (const Dtype dt : all_dtypes()) {
+        const Ladder l = kernel_ladder(op, mode, dt);
+        for (int i = 0; i < l.len; ++i) on_a_ladder.insert(&l.at(i));
+      }
+    }
+  }
+
+  SparseCtx ctx;
+  ctx.profiled = true;
+  for (const KernelDesc& row : kernel_table()) {
+    EXPECT_TRUE(on_a_ladder.count(&row) == 1) << row.label << " is dead";
+    // Operands as the row's callers hand them over: promoted rows take
+    // the f16 tensors they promote.
+    const Dtype dt = row.promote ? Dtype::kF16 : row.storage;
+    const MTensor x = operand(dt, n, feat);
+    const MTensor b = operand(dt, n, feat);
+    const MTensor e1 = operand(dt, m, 1);
+    const MTensor e2 = operand(dt, m, 1);
+    const MTensor v1 = operand(dt, n, 1);
+    const MTensor v2 = operand(dt, n, 1);
+    std::vector<OpArgs> configs;
+    const OpArgs base{.ctx = &ctx, .g = fx.g.get()};
+    OpArgs a = base;
+    switch (row.op) {
+      case SparseOp::kSpmm:
+        for (const auto r : {kernels::Reduce::kSum, kernels::Reduce::kMean,
+                             kernels::Reduce::kMax}) {
+          for (const MTensor* w : {static_cast<const MTensor*>(nullptr),
+                                   &e1}) {
+            configs.push_back(
+                {.ctx = &ctx, .g = fx.g.get(), .x = &x, .edge_w = w,
+                 .reduce = r});
+          }
+        }
+        break;
+      case SparseOp::kSddmm: a.x = &x; a.y = &b; break;
+      case SparseOp::kSegMax: a.x = &e1; a.seg = kernels::SegReduce::kMax;
+        break;
+      case SparseOp::kSegSum: a.x = &e1; break;
+      case SparseOp::kEdgeAddScalars: a.x = &v1; a.y = &v2; break;
+      case SparseOp::kEdgeExp:
+      case SparseOp::kEdgeDivRow: a.x = &e1; a.y = &v1; break;
+      case SparseOp::kEdgeMul:
+      case SparseOp::kEdgeLeakyBwd: a.x = &e1; a.y = &e2; break;
+      case SparseOp::kEdgeSoftmaxBwd: a.x = &e1; a.y = &e2; a.z = &v1;
+        break;
+      case SparseOp::kEdgePermute: a.x = &e1; a.perm = fx.g->rev_perm();
+        break;
+    }
+    if (configs.empty()) configs.push_back(a);
+
+    obs::registry().reset();
+    obs::registry().set_enabled(true);
+    for (const OpArgs& c : configs) (void)invoke(row, c);
+    std::set<std::string> launched;
+    for (const auto& [name, entry] : obs::registry().kernels()) {
+      launched.insert(name);
+    }
+    obs::registry().set_enabled(false);
+    obs::registry().reset();
+
+    std::set<std::string> listed;
+    for (const std::string_view name : row.launched()) {
+      if (never_dispatched.count(std::string(name)) == 0) {
+        listed.emplace(name);
+      }
+    }
+    EXPECT_EQ(launched, listed)
+        << row.label << " (" << op_name(row.op) << ", "
+        << (row.promote ? "AMP-promoted" : "native") << ")";
   }
 }
 

@@ -241,16 +241,16 @@ TEST_F(CleanSweep, EdgeOps) {
   AlignedVec<half_t> oh(m), rowh(n);
   AlignedVec<float> of(m), rowf(n);
 
-  edge_add_scalars_f32(stream_, true, t.g, lf, rf, of, 0.2f);
-  edge_add_scalars_f16(stream_, true, t.g, lh, rh, oh, 0.2f);
-  edge_segment_reduce_f32(stream_, true, t.g, vf, rowf, SegReduce::kMax);
-  edge_segment_reduce_f16(stream_, true, t.g, vh, rowh, SegReduce::kMax);
-  edge_exp_sub_row_f32(stream_, true, t.g, vf, rowf, of);
-  edge_exp_sub_row_f16(stream_, true, t.g, vh, rowh, oh);
-  edge_segment_reduce_f32(stream_, true, t.g, of, rowf, SegReduce::kSum);
-  edge_segment_reduce_f16(stream_, true, t.g, oh, rowh, SegReduce::kSum);
-  edge_div_row_f32(stream_, true, t.g, of, rowf, of);
-  edge_div_row_f16(stream_, true, t.g, oh, rowh, oh);
+  edge_add_scalars<float>(stream_, true, t.g, lf, rf, of, 0.2f);
+  edge_add_scalars<half_t>(stream_, true, t.g, lh, rh, oh, 0.2f);
+  edge_segment_reduce<float>(stream_, true, t.g, vf, rowf, SegReduce::kMax);
+  edge_segment_reduce<half_t>(stream_, true, t.g, vh, rowh, SegReduce::kMax);
+  edge_exp_sub_row<float>(stream_, true, t.g, vf, rowf, of);
+  edge_exp_sub_row<half_t>(stream_, true, t.g, vh, rowh, oh);
+  edge_segment_reduce<float>(stream_, true, t.g, of, rowf, SegReduce::kSum);
+  edge_segment_reduce<half_t>(stream_, true, t.g, oh, rowh, SegReduce::kSum);
+  edge_div_row<float>(stream_, true, t.g, of, rowf, of);
+  edge_div_row<half_t>(stream_, true, t.g, oh, rowh, oh);
   expect_clean();
 }
 

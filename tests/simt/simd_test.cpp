@@ -596,12 +596,12 @@ TEST_F(SimdAvx2, EdgeSoftmaxIdenticalAcrossPaths) {
           e[i] = f.wh[i % f.wh.size()];
         }
         AlignedVec<half_t> r(static_cast<std::size_t>(f.csr.num_vertices));
-        auto ks = kernels::edge_segment_reduce_f16(stream, profiled, f.g, e,
+        auto ks = kernels::edge_segment_reduce<half_t>(stream, profiled, f.g, e,
                                                    r, kernels::SegReduce::kMax);
-        ks += kernels::edge_exp_sub_row_f16(stream, profiled, f.g, e, r, e);
-        ks += kernels::edge_segment_reduce_f16(stream, profiled, f.g, e, r,
+        ks += kernels::edge_exp_sub_row<half_t>(stream, profiled, f.g, e, r, e);
+        ks += kernels::edge_segment_reduce<half_t>(stream, profiled, f.g, e, r,
                                                kernels::SegReduce::kSum);
-        ks += kernels::edge_div_row_f16(stream, profiled, f.g, e, r, e);
+        ks += kernels::edge_div_row<half_t>(stream, profiled, f.g, e, r, e);
         out_bits = bits_of(e);
         return ks;
       });
