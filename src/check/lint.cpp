@@ -3,6 +3,7 @@
 #include <array>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "amp/amp.hpp"
 #include "half/dtype.hpp"

@@ -133,6 +133,8 @@ struct KernelDesc {
 
   // False for the host reference rows, which never reach the device.
   bool launches() const { return accum != Accum::kF64Host; }
+  // May view this row's own label: call it on a row of kernel_table(),
+  // which lives for the whole process, not on a copy.
   std::span<const std::string_view> launched() const {
     if (!launches()) return {};
     return launch_names.empty() ? std::span(&label, 1) : launch_names;

@@ -1,7 +1,7 @@
-// Mode-dispatched sparse operations over MTensor (see common.hpp for the
-// mode -> kernel mapping). Each wrapper hides the dtype plumbing, charges
-// the ledger, and — for kDglHalf — performs the AMP float-promotion round
-// trips the paper analyzes in Sec. 3.1.2.
+// Mode-dispatched sparse operations over MTensor (nn/kernel_table.hpp
+// holds the (op, mode, dtype) -> kernel mapping). Each wrapper hides the
+// dtype plumbing, charges the ledger, and — for kDglHalf — performs the AMP
+// float-promotion round trips the paper analyzes in Sec. 3.1.2.
 #pragma once
 
 #include "kernels/edge_ops.hpp"
