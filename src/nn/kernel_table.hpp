@@ -150,8 +150,8 @@ struct Ladder {
 
   // Clamped: a guard level past the end stays on the last row.
   const KernelDesc& at(int level) const {
-    const int last = std::min(len, kMaxLevels) - 1;
-    return *rows[static_cast<std::size_t>(std::clamp(level, 0, last))];
+    const int i = std::max(0, std::min(level, len - 1));
+    return *rows[static_cast<std::size_t>(i)];
   }
 };
 
