@@ -48,6 +48,7 @@ enum class SparseOp {
   kEdgePermute,
 };
 
+// Every op, for sweeps over the whole table.
 inline constexpr SparseOp kSparseOps[] = {
     SparseOp::kSpmm,           SparseOp::kSddmm,
     SparseOp::kSegMax,         SparseOp::kSegSum,
