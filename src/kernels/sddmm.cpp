@@ -36,7 +36,32 @@ KernelStats sddmm_dgl_impl(simt::Stream& stream, const GraphView& g,
                         : is_half               ? Op::kHalfNaive
                                                 : Op::kHalfIntrin;
 
+  const eid_t edges_per_cta = static_cast<eid_t>(kEdgesPerWarp) * kWarpsPerCta;
+
   return stream.launch<P>(cfg, [&](Cta<P>& cta) {
+    if constexpr (!std::is_same_v<T, bf16_t>) {
+      if (simd::vector_enabled() && cta.fused_fast_path()) {
+        // Fused fast loop (train mode, every hook disarmed): the CTA's
+        // contiguous edge range in one lane-primitive call, bit-identical
+        // to the per-access loop below (property-tested in simd_test);
+        // the per-edge charges it skips compile away in this mode.
+        const eid_t c0 = static_cast<eid_t>(cta.cta_id()) * edges_per_cta;
+        const eid_t c1 = std::min<eid_t>(m, c0 + edges_per_cta);
+        if (c0 >= c1) return;
+        const auto n = static_cast<int>(c1 - c0);
+        const auto cu = static_cast<std::size_t>(c0);
+        if constexpr (is_half) {
+          simd::ops().h_sddmm_run(out.data() + cu, a.data(), b.data(),
+                                  g.coo->row.data() + cu,
+                                  g.coo->col.data() + cu, n, feat);
+        } else {
+          simd::ops().f_sddmm_run(out.data() + cu, a.data(), b.data(),
+                                  g.coo->row.data() + cu,
+                                  g.coo->col.data() + cu, n, feat);
+        }
+        return;
+      }
+    }
     cta.for_each_warp([&](Warp<P>& w) {
       const eid_t gw = static_cast<eid_t>(cta.cta_id()) * kWarpsPerCta +
                        w.warp_in_cta();
@@ -155,6 +180,23 @@ KernelStats sddmm_halfgnn_impl(simt::Stream& stream,
         static_cast<std::size_t>(kWarpsPerCta) * kEdgesPerWarp);
     auto s_out = cta.template shared<half_t>(
         static_cast<std::size_t>(kWarpsPerCta) * kEdgesPerWarp);
+
+    if (simd::vector_enabled() && cta.fused_fast_path()) {
+      // Fused fast loop (train mode, every hook disarmed): the CTA's edge
+      // range in one h2_sddmm_run call reading the COO arrays and writing
+      // `out` directly — no smem staging, no buffered store. The staging
+      // arrays above are still allocated so the shared-memory capacity
+      // check holds on every path. Bit-identical to phases 1-3 below
+      // (property-tested in simd_test); the per-access charges it skips
+      // compile away in this mode.
+      const auto cu = static_cast<std::size_t>(cta_e0);
+      simd::ops().h2_sddmm_run(
+          out.data() + cu, reinterpret_cast<const half2*>(a.data()),
+          reinterpret_cast<const half2*>(b.data()), g.coo->row.data() + cu,
+          g.coo->col.data() + cu, static_cast<int>(cta_e1 - cta_e0), fvec,
+          kV / 2, lanes_per_edge);
+      return;
+    }
 
     // Phase 1: coalesced NZE load into shared memory (Sec. 4.1.1).
     cta.for_each_warp([&](Warp<P>& w) {

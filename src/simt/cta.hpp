@@ -140,6 +140,12 @@ class Cta {
   int num_warps() const noexcept { return num_warps_; }
   Warp<Profiled>& warp(int i) { return warps_[i]; }
 
+  // Warp::fused_fast_path() for the whole CTA: every warp carries the same
+  // launch hooks, so a CTA-level fused loop may stand in for all of them.
+  bool fused_fast_path() const noexcept {
+    return warps_[0].fused_fast_path();
+  }
+
   // Bump-allocate a typed array from the shared-memory arena. Arena
   // contents persist for the CTA's lifetime (across phases), like real
   // __shared__ declarations.

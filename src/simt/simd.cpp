@@ -35,6 +35,9 @@ constexpr SimdOps kScalarOps = {
     &scalar::shfl_xor_h2,
     &scalar::shfl_xor_h,
     &scalar::shfl_xor_f,
+    &scalar::h2_sddmm_run,
+    &scalar::h_sddmm_run,
+    &scalar::f_sddmm_run,
     &accounting::access_counts,
 };
 

@@ -30,6 +30,7 @@
 // (config-time only — never while a launch is in flight).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -227,6 +228,91 @@ inline void shfl_xor_f(Lanes<float>& vals, int offset, LaneMask active,
   }
 }
 
+// Fused train-mode SDDMM edge run (sddmm_halfgnn, every hook disarmed):
+// out[e] = <a[rows[e]], b[cols[e]]> over packed rows of fvec vector
+// elements of h2per half2 words each, computed exactly as the kernel's
+// per-access loop does on one lanes_per_edge-lane sub-warp:
+//   1. lane j < lanes_per_edge chains h2per h2fma steps over packed
+//      element fv = c*32 + j for every fv < fvec (the h2_dot_mask step per
+//      chunk c); lanes with no element stay +0;
+//   2. butterfly h2add rounds at offsets 1, 2, .. < lanes_per_edge, lane l
+//      always the left operand (shfl_xor_h2);
+//   3. lane 0 folds its two halves with h2reduce_add.
+inline void h2_sddmm_run(half_t* out, const half2* a, const half2* b,
+                         const std::int32_t* rows, const std::int32_t* cols,
+                         int n_edges, int fvec, int h2per,
+                         int lanes_per_edge) {
+  const auto row_words =
+      static_cast<std::size_t>(fvec) * static_cast<std::size_t>(h2per);
+  for (int e = 0; e < n_edges; ++e) {
+    const half2* ar = a + static_cast<std::size_t>(rows[e]) * row_words;
+    const half2* br = b + static_cast<std::size_t>(cols[e]) * row_words;
+    Lanes<half2> acc;
+    acc.fill(half2(0.0f, 0.0f));
+    for (int j = 0; j < lanes_per_edge; ++j) {
+      auto& aj = acc[static_cast<std::size_t>(j)];
+      for (int fv = j; fv < fvec; fv += kLanes) {
+        for (int i = 0; i < h2per; ++i) {
+          aj = h2fma(ar[fv * h2per + i], br[fv * h2per + i], aj);
+        }
+      }
+    }
+    for (int offset = 1; offset < lanes_per_edge; offset <<= 1) {
+      const Lanes<half2> other = acc;
+      for (int l = 0; l < lanes_per_edge; ++l) {
+        acc[static_cast<std::size_t>(l)] =
+            h2add(acc[static_cast<std::size_t>(l)],
+                  other[static_cast<std::size_t>(l ^ offset)]);
+      }
+    }
+    out[e] = h2reduce_add(acc[0]);
+  }
+}
+
+// Fused DGL SDDMM edge runs (sddmm_dgl_f16 / sddmm_dgl_f32 in train mode):
+// out[e] = <a[rows[e]], b[cols[e]]> over feat-wide rows, exactly the
+// kernel's per-edge sequence — h_fma_mask / f_fma_mask over each 32-feature
+// chunk from a +0 accumulator, then the full-warp add butterfly
+// (shfl_xor_h / shfl_xor_f at offsets 1..16); lane 0 holds the result.
+template <class T, class Fma, class Shfl>
+void dgl_sddmm_run(T* out, const T* a, const T* b, const std::int32_t* rows,
+                   const std::int32_t* cols, int n_edges, int feat, Fma fma,
+                   Shfl shfl) {
+  for (int e = 0; e < n_edges; ++e) {
+    const T* ar = a + static_cast<std::size_t>(rows[e]) *
+                          static_cast<std::size_t>(feat);
+    const T* br = b + static_cast<std::size_t>(cols[e]) *
+                          static_cast<std::size_t>(feat);
+    Lanes<T> acc{};
+    for (int f0 = 0; f0 < feat; f0 += kLanes) {
+      const int lanes = std::min(kLanes, feat - f0);
+      Lanes<T> av{}, bv{};
+      std::copy_n(ar + f0, lanes, av.begin());
+      std::copy_n(br + f0, lanes, bv.begin());
+      fma(acc, av, bv,
+          lanes >= kLanes ? ~LaneMask{0} : (LaneMask{1} << lanes) - 1);
+    }
+    for (int offset = 1; offset < kLanes; offset <<= 1) {
+      shfl(acc, offset, ~LaneMask{0}, false);
+    }
+    out[e] = acc[0];
+  }
+}
+
+inline void h_sddmm_run(half_t* out, const half_t* a, const half_t* b,
+                        const std::int32_t* rows, const std::int32_t* cols,
+                        int n_edges, int feat) {
+  dgl_sddmm_run(out, a, b, rows, cols, n_edges, feat, h_fma_mask,
+                shfl_xor_h);
+}
+
+inline void f_sddmm_run(float* out, const float* a, const float* b,
+                        const std::int32_t* rows, const std::int32_t* cols,
+                        int n_edges, int feat) {
+  dgl_sddmm_run(out, a, b, rows, cols, n_edges, feat, f_fma_mask,
+                shfl_xor_f);
+}
+
 }  // namespace scalar
 
 // ---------------------------------------------------------------------------
@@ -258,6 +344,13 @@ struct SimdOps {
   void (*shfl_xor_h2)(Lanes<half2>&, int, LaneMask, bool);
   void (*shfl_xor_h)(Lanes<half_t>&, int, LaneMask, bool);
   void (*shfl_xor_f)(Lanes<float>&, int, LaneMask, bool);
+  void (*h2_sddmm_run)(half_t*, const half2*, const half2*,
+                       const std::int32_t*, const std::int32_t*, int, int,
+                       int, int);
+  void (*h_sddmm_run)(half_t*, const half_t*, const half_t*,
+                      const std::int32_t*, const std::int32_t*, int, int);
+  void (*f_sddmm_run)(float*, const float*, const float*,
+                      const std::int32_t*, const std::int32_t*, int, int);
   accounting::AccessCounts (*access_counts)(const accounting::LaneIdx&,
                                             std::uint32_t, std::size_t, int);
 };

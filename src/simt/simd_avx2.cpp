@@ -586,6 +586,268 @@ void shfl_xor_h2_avx2(Lanes<half2>& vals, int offset, LaneMask active,
 }
 
 // ---------------------------------------------------------------------------
+// Fused SDDMM edge runs
+// ---------------------------------------------------------------------------
+// The accumulators live in registers as the exact float images of their
+// half (or float) values.
+
+// Half round-trip: the float image of the half the scalar op stores.
+inline __m256 round_h(__m256 f) noexcept { return cvt8(cvt8b(f)); }
+
+// Float lanes [0, 2*valid) selected: `valid` half2 lanes of a 4-lane group.
+inline __m256 h2_lane_mask(int valid) noexcept {
+  return _mm256_castsi256_ps(
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(valid),
+                         _mm256_setr_epi32(0, 0, 1, 1, 2, 2, 3, 3)));
+}
+// Float lanes [0, valid) selected.
+inline __m256 f_lane_mask(int valid) noexcept {
+  return _mm256_castsi256_ps(
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(valid),
+                         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7)));
+}
+
+// The h2fma products of one 4-lane group, step-major: t[i] holds
+// a*b of word i of lanes 0..3 as [l0.lo l0.hi l1.lo l1.hi ..], the layout
+// of the group's accumulator. Products of half-derived floats are exact,
+// so forming them before the step-major shuffle changes no bit; a operand
+// first, like hfma. `valid` < 4 zero-pads the missing lanes (never read
+// past the row).
+template <int H>
+inline void group_products(const half2* pa, const half2* pb, int valid,
+                           __m256 (&t)[H]) noexcept {
+  alignas(16) half2 pad[2][4 * H];
+  if (valid < 4) {
+    const auto bytes = static_cast<std::size_t>(valid * H) * sizeof(half2);
+    std::memset(pad, 0, sizeof(pad));
+    std::memcpy(pad[0], pa, bytes);
+    std::memcpy(pad[1], pb, bytes);
+    pa = pad[0];
+    pb = pad[1];
+  }
+  if constexpr (H == 1) {
+    t[0] = ordered_mul(cvt8(load8h(pa)), cvt8(load8h(pb)));
+  } else if constexpr (H == 2) {
+    // Even / odd words of the four lanes, shuffled before the convert.
+    const auto split = [](const half2* p, __m256& even, __m256& odd) {
+      const float* q = reinterpret_cast<const float*>(p);
+      const __m128 x = _mm_loadu_ps(q);
+      const __m128 y = _mm_loadu_ps(q + 4);
+      even = cvt8(_mm_castps_si128(_mm_shuffle_ps(x, y, 0x88)));
+      odd = cvt8(_mm_castps_si128(_mm_shuffle_ps(x, y, 0xDD)));
+    };
+    __m256 a0, a1, b0, b1;
+    split(pa, a0, a1);
+    split(pb, b0, b1);
+    t[0] = ordered_mul(a0, b0);
+    t[1] = ordered_mul(a1, b1);
+  } else {
+    static_assert(H == 4);
+    // Lane-major products (lane j's four words per register), then a 4x4
+    // transpose of their 64-bit word pairs: half the shuffles of
+    // transposing both operands.
+    __m256d p[4];
+    for (int j = 0; j < 4; ++j) {
+      p[j] = _mm256_castps_pd(
+          ordered_mul(cvt8(load8h(pa + 4 * j)), cvt8(load8h(pb + 4 * j))));
+    }
+    const __m256d w02a = _mm256_unpacklo_pd(p[0], p[1]);
+    const __m256d w13a = _mm256_unpackhi_pd(p[0], p[1]);
+    const __m256d w02b = _mm256_unpacklo_pd(p[2], p[3]);
+    const __m256d w13b = _mm256_unpackhi_pd(p[2], p[3]);
+    t[0] = _mm256_castpd_ps(_mm256_permute2f128_pd(w02a, w02b, 0x20));
+    t[1] = _mm256_castpd_ps(_mm256_permute2f128_pd(w13a, w13b, 0x20));
+    t[2] = _mm256_castpd_ps(_mm256_permute2f128_pd(w02a, w02b, 0x31));
+    t[3] = _mm256_castpd_ps(_mm256_permute2f128_pd(w13a, w13b, 0x31));
+  }
+}
+
+// NE consecutive edges' sub-warp dots for H half2 words per packed
+// element and G 4-lane groups (lanes_per_edge / 4, at least 1). Lane j of
+// group g is sub-warp lane 4g + j; the butterfly's offsets 1 and 2 are
+// in-register permutes, offsets 4.. fold whole groups, lane l always the
+// left operand. The NE edges are independent chains the out-of-order core
+// overlaps.
+template <int H, int G, int NE>
+void h2_sddmm_block(half_t* out, const half2* a, const half2* b,
+                    const std::int32_t* rows, const std::int32_t* cols,
+                    int fvec, int lanes_per_edge) {
+  const auto row_words = static_cast<std::size_t>(fvec) * H;
+  __m256 acc[NE][G];
+  for (int k = 0; k < NE; ++k) {
+    const half2* ar = a + static_cast<std::size_t>(rows[k]) * row_words;
+    const half2* br = b + static_cast<std::size_t>(cols[k]) * row_words;
+    for (int g = 0; g < G; ++g) acc[k][g] = _mm256_setzero_ps();
+    for (int fv0 = 0; fv0 < fvec; fv0 += kLanes) {
+      for (int g = 0; g < G; ++g) {
+        const int valid = std::min(4, fvec - fv0 - 4 * g);
+        if (valid <= 0) break;
+        const auto off = static_cast<std::size_t>(fv0 + 4 * g) * H;
+        __m256 t[H];
+        group_products<H>(ar + off, br + off, valid, t);
+        __m256 s = acc[k][g];
+        for (int i = 0; i < H; ++i) {  // h2fma chain, rounded per step
+          s = round_h(ordered_add(t[i], s));
+        }
+        acc[k][g] = valid < 4
+                        ? _mm256_blendv_ps(acc[k][g], s, h2_lane_mask(valid))
+                        : s;
+      }
+    }
+  }
+  for (int k = 0; k < NE; ++k) {
+    for (int g = 0; g < G && lanes_per_edge > 1; ++g) {
+      acc[k][g] = round_h(
+          ordered_add(acc[k][g], _mm256_permute_ps(acc[k][g], 0x4E)));
+    }
+    for (int g = 0; g < G && lanes_per_edge > 2; ++g) {
+      acc[k][g] = round_h(ordered_add(
+          acc[k][g], _mm256_permute2f128_ps(acc[k][g], acc[k][g], 0x01)));
+    }
+    for (int step = 1; step < G; step <<= 1) {
+      for (int g = 0; g + step < G; g += 2 * step) {
+        acc[k][g] = round_h(ordered_add(acc[k][g], acc[k][g + step]));
+      }
+    }
+    // h2reduce_add(lane 0) = half(lo + hi).
+    const __m256 f = acc[k][0];
+    const __m256 r = ordered_add(f, _mm256_permute_ps(f, 0xB1));
+    out[k] = half_t::from_bits(
+        static_cast<std::uint16_t>(_mm_extract_epi16(cvt8b(r), 0)));
+  }
+}
+
+template <int H, int G>
+void h2_sddmm_edges(half_t* out, const half2* a, const half2* b,
+                    const std::int32_t* rows, const std::int32_t* cols,
+                    int n_edges, int fvec, int lanes_per_edge) {
+  constexpr int kBlock = 8;
+  int e = 0;
+  for (; e + kBlock <= n_edges; e += kBlock) {
+    h2_sddmm_block<H, G, kBlock>(out + e, a, b, rows + e, cols + e, fvec,
+                                 lanes_per_edge);
+  }
+  for (; e < n_edges; ++e) {
+    h2_sddmm_block<H, G, 1>(out + e, a, b, rows + e, cols + e, fvec,
+                            lanes_per_edge);
+  }
+}
+
+template <int H>
+void h2_sddmm_words(half_t* out, const half2* a, const half2* b,
+                    const std::int32_t* rows, const std::int32_t* cols,
+                    int n_edges, int fvec, int lanes_per_edge) {
+  switch (lanes_per_edge) {
+    case 8:
+      return h2_sddmm_edges<H, 2>(out, a, b, rows, cols, n_edges, fvec,
+                                  lanes_per_edge);
+    case 16:
+      return h2_sddmm_edges<H, 4>(out, a, b, rows, cols, n_edges, fvec,
+                                  lanes_per_edge);
+    case 32:
+      return h2_sddmm_edges<H, 8>(out, a, b, rows, cols, n_edges, fvec,
+                                  lanes_per_edge);
+    default:  // 1, 2 or 4 lanes: one group
+      return h2_sddmm_edges<H, 1>(out, a, b, rows, cols, n_edges, fvec,
+                                  lanes_per_edge);
+  }
+}
+
+void h2_sddmm_run_avx2(half_t* out, const half2* a, const half2* b,
+                       const std::int32_t* rows, const std::int32_t* cols,
+                       int n_edges, int fvec, int h2per, int lanes_per_edge) {
+  switch (h2per) {
+    case 1:
+      return h2_sddmm_words<1>(out, a, b, rows, cols, n_edges, fvec,
+                               lanes_per_edge);
+    case 2:
+      return h2_sddmm_words<2>(out, a, b, rows, cols, n_edges, fvec,
+                               lanes_per_edge);
+    case 4:
+      return h2_sddmm_words<4>(out, a, b, rows, cols, n_edges, fvec,
+                               lanes_per_edge);
+    default:
+      return scalar::h2_sddmm_run(out, a, b, rows, cols, n_edges, fvec, h2per,
+                                  lanes_per_edge);
+  }
+}
+
+// DGL edge runs: 32 lanes as four 8-lane groups. The half flavor rounds
+// after every op like hfma / half +; the float flavor is f_fma_mask's
+// acc + a*b and the shfl_xor_f add.
+template <bool kHalf, class T>
+void dgl_sddmm_avx2(T* out, const T* a, const T* b, const std::int32_t* rows,
+                    const std::int32_t* cols, int n_edges, int feat) {
+  const auto load = [](const T* p, int valid) {
+    alignas(32) T pad[8];
+    if (valid < 8) {
+      std::memset(pad, 0, sizeof(pad));
+      std::memcpy(pad, p, static_cast<std::size_t>(valid) * sizeof(T));
+      p = pad;
+    }
+    if constexpr (kHalf) {
+      return cvt8(load8h(p));
+    } else {
+      return _mm256_loadu_ps(p);
+    }
+  };
+  const auto round = [](__m256 f) {
+    if constexpr (kHalf) {
+      return round_h(f);
+    } else {
+      return f;
+    }
+  };
+  for (int e = 0; e < n_edges; ++e) {
+    const T* ar = a + static_cast<std::size_t>(rows[e]) *
+                          static_cast<std::size_t>(feat);
+    const T* br = b + static_cast<std::size_t>(cols[e]) *
+                          static_cast<std::size_t>(feat);
+    __m256 acc[4] = {_mm256_setzero_ps(), _mm256_setzero_ps(),
+                     _mm256_setzero_ps(), _mm256_setzero_ps()};
+    for (int f0 = 0; f0 < feat; f0 += kLanes) {
+      for (int g = 0; g < 4; ++g) {
+        const int valid = std::min(8, feat - f0 - 8 * g);
+        if (valid <= 0) break;
+        const __m256 p = ordered_mul(load(ar + f0 + 8 * g, valid),
+                                     load(br + f0 + 8 * g, valid));
+        const __m256 s =
+            kHalf ? round_h(ordered_add(p, acc[g])) : ordered_add(acc[g], p);
+        acc[g] = valid < 8 ? _mm256_blendv_ps(acc[g], s, f_lane_mask(valid))
+                           : s;
+      }
+    }
+    for (int g = 0; g < 4; ++g) {
+      acc[g] = round(ordered_add(acc[g], _mm256_permute_ps(acc[g], 0xB1)));
+      acc[g] = round(ordered_add(acc[g], _mm256_permute_ps(acc[g], 0x4E)));
+      acc[g] = round(ordered_add(
+          acc[g], _mm256_permute2f128_ps(acc[g], acc[g], 0x01)));
+    }
+    acc[0] = round(ordered_add(acc[0], acc[1]));
+    acc[2] = round(ordered_add(acc[2], acc[3]));
+    acc[0] = round(ordered_add(acc[0], acc[2]));
+    if constexpr (kHalf) {
+      out[e] = half_t::from_bits(
+          static_cast<std::uint16_t>(_mm_extract_epi16(cvt8b(acc[0]), 0)));
+    } else {
+      out[e] = _mm256_cvtss_f32(acc[0]);
+    }
+  }
+}
+
+void h_sddmm_run_avx2(half_t* out, const half_t* a, const half_t* b,
+                      const std::int32_t* rows, const std::int32_t* cols,
+                      int n_edges, int feat) {
+  dgl_sddmm_avx2<true>(out, a, b, rows, cols, n_edges, feat);
+}
+
+void f_sddmm_run_avx2(float* out, const float* a, const float* b,
+                      const std::int32_t* rows, const std::int32_t* cols,
+                      int n_edges, int feat) {
+  dgl_sddmm_avx2<false>(out, a, b, rows, cols, n_edges, feat);
+}
+
+// ---------------------------------------------------------------------------
 // Vectorized sector/element dedup
 // ---------------------------------------------------------------------------
 
@@ -670,6 +932,9 @@ constexpr SimdOps kAvx2Ops = {
     &shfl_xor_h2_avx2,
     &shfl_xor_h_avx2,
     &shfl_xor_f_avx2,
+    &h2_sddmm_run_avx2,
+    &h_sddmm_run_avx2,
+    &f_sddmm_run_avx2,
     &access_counts_avx2,
 };
 

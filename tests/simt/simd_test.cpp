@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <random>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -324,6 +325,170 @@ TEST_F(SimdAvx2, HalfAndFloatAccumScaleMatchScalar) {
   }
 }
 
+// SDDMM operand classes: special-biased bits (NaN payloads, +-Inf,
+// subnormals, +-0), moderate finite values whose rounding matters, large
+// finite values whose products and partial sums overflow to Inf, and
+// subnormals whose products underflow. In the underflow class the second
+// operand is negated, so every product rounds to -0 and so does every
+// lane: a masked-off lane turned to +0 flips the sign of the result.
+half_t sddmm_operand(std::mt19937& rng, int kind, bool second) {
+  switch (kind % 4) {
+    case 0:
+      return random_half(rng);
+    case 1:
+      return half_t((static_cast<float>(rng() % 4000u) - 2000.0f) / 256.0f);
+    case 2: {
+      const float mag = 256.0f + static_cast<float>(rng() % 60000u);
+      return half_t((rng() & 1u) != 0 ? mag : -mag);
+    }
+    default:
+      return half_t::from_bits(static_cast<std::uint16_t>(
+          (second ? 0x8000u : 0u) | (1u + rng() % 0x3FFu)));
+  }
+}
+
+// The sub-warp width sddmm_halfgnn gives fvec packed elements.
+int sddmm_lanes_per_edge(int fvec) {
+  return std::min(32, static_cast<int>(std::bit_ceil(
+                          static_cast<unsigned>(std::max(1, fvec)))));
+}
+
+TEST_F(SimdAvx2, H2SddmmRunMatchesScalarAndUnfusedSequence) {
+  std::mt19937 rng(0x5DD3u);
+  constexpr int kFvecs[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 64};
+  constexpr int kH2pers[] = {1, 2, 4};
+  constexpr int kRows = 23;
+  int trial = 0;
+  for (const int fvec : kFvecs) {
+    for (const int h2per : kH2pers) {
+      for (int rep = 0; rep < 8; ++rep, ++trial) {
+        const int lanes = sddmm_lanes_per_edge(fvec);
+        const int n_edges = (trial * 7 + rep) % 68;  // run lengths 0..67
+        const auto row_words = static_cast<std::size_t>(fvec * h2per);
+        std::vector<half2> a(kRows * row_words), b(a.size());
+        for (auto& v : a) {
+          v = {sddmm_operand(rng, rep, false), sddmm_operand(rng, rep, false)};
+        }
+        for (auto& v : b) {
+          v = {sddmm_operand(rng, rep, true), sddmm_operand(rng, rep, true)};
+        }
+        std::vector<std::int32_t> rows(static_cast<std::size_t>(n_edges));
+        std::vector<std::int32_t> cols(rows.size());
+        for (auto& r : rows) r = static_cast<std::int32_t>(rng() % kRows);
+        for (auto& c : cols) c = static_cast<std::int32_t>(rng() % kRows);
+
+        std::vector<half_t> out_scalar(rows.size()), out_avx2(rows.size());
+        simd::scalar::h2_sddmm_run(out_scalar.data(), a.data(), b.data(),
+                                   rows.data(), cols.data(), n_edges, fvec,
+                                   h2per, lanes);
+        simd::ops().h2_sddmm_run(out_avx2.data(), a.data(), b.data(),
+                                 rows.data(), cols.data(), n_edges, fvec,
+                                 h2per, lanes);
+        expect_h_eq(out_scalar.data(), out_avx2.data(), n_edges,
+                    "h2_sddmm_run", trial);
+
+        // The kernel's unfused per-access sequence for one sub-warp: an
+        // h2_dot_mask per 32-element chunk, then the shfl_xor_h2 butterfly.
+        for (int e = 0; e < n_edges; ++e) {
+          const auto eu = static_cast<std::size_t>(e);
+          Lanes<half2> acc;
+          acc.fill(half2(0.0f, 0.0f));
+          for (int c = 0; c * 32 < fvec; ++c) {
+            std::vector<half2> va(simd::kLanes * static_cast<std::size_t>(h2per));
+            std::vector<half2> vb(va.size());
+            LaneMask mask = 0;
+            for (int j = 0; j < lanes && c * 32 + j < fvec; ++j) {
+              for (int i = 0; i < h2per; ++i) {
+                const auto w = static_cast<std::size_t>((c * 32 + j) * h2per + i);
+                const auto l = static_cast<std::size_t>(j * h2per + i);
+                va[l] = a[static_cast<std::size_t>(rows[eu]) * row_words + w];
+                vb[l] = b[static_cast<std::size_t>(cols[eu]) * row_words + w];
+              }
+              mask |= LaneMask{1} << j;
+            }
+            simd::scalar::h2_dot_mask(acc, va.data(), vb.data(), h2per, mask);
+          }
+          for (int offset = 1; offset < lanes; offset <<= 1) {
+            simd::scalar::shfl_xor_h2(acc, offset, kFullMask, false);
+          }
+          ASSERT_EQ(h2reduce_add(acc[0]).bits(), out_scalar[eu].bits())
+              << "h2_sddmm_run vs unfused trial " << trial << " edge " << e;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(SimdAvx2, DglSddmmRunMatchesScalarAndUnfusedSequence) {
+  std::mt19937 rng(0xD61u);
+  constexpr int kFeats[] = {1, 2, 3, 7, 8, 9, 31, 32, 33, 40, 64, 67};
+  constexpr int kRows = 19;
+  int trial = 0;
+  for (const int feat : kFeats) {
+    for (int rep = 0; rep < 8; ++rep, ++trial) {
+      const int n_edges = (trial * 5 + rep) % 68;
+      const auto fu = static_cast<std::size_t>(feat);
+      std::vector<half_t> ah(kRows * fu), bh(ah.size());
+      for (auto& v : ah) v = sddmm_operand(rng, rep, false);
+      for (auto& v : bh) v = sddmm_operand(rng, rep, true);
+      std::vector<float> af(ah.size()), bf(ah.size());
+      for (auto& v : af) v = random_float(rng);
+      for (auto& v : bf) v = random_float(rng);
+      std::vector<std::int32_t> rows(static_cast<std::size_t>(n_edges));
+      std::vector<std::int32_t> cols(rows.size());
+      for (auto& r : rows) r = static_cast<std::int32_t>(rng() % kRows);
+      for (auto& c : cols) c = static_cast<std::int32_t>(rng() % kRows);
+
+      std::vector<half_t> hs(rows.size()), hv(rows.size());
+      simd::scalar::h_sddmm_run(hs.data(), ah.data(), bh.data(), rows.data(),
+                                cols.data(), n_edges, feat);
+      simd::ops().h_sddmm_run(hv.data(), ah.data(), bh.data(), rows.data(),
+                              cols.data(), n_edges, feat);
+      expect_h_eq(hs.data(), hv.data(), n_edges, "h_sddmm_run", trial);
+      std::vector<float> fs(rows.size()), fv(rows.size());
+      simd::scalar::f_sddmm_run(fs.data(), af.data(), bf.data(), rows.data(),
+                                cols.data(), n_edges, feat);
+      simd::ops().f_sddmm_run(fv.data(), af.data(), bf.data(), rows.data(),
+                              cols.data(), n_edges, feat);
+      expect_f_eq(fs.data(), fv.data(), n_edges, "f_sddmm_run", trial);
+
+      // sddmm_dgl's unfused sequence: masked fma per 32-feature chunk,
+      // then the five full-warp butterfly rounds.
+      for (int e = 0; e < n_edges; ++e) {
+        const auto eu = static_cast<std::size_t>(e);
+        const auto ra = static_cast<std::size_t>(rows[eu]) * fu;
+        const auto rb = static_cast<std::size_t>(cols[eu]) * fu;
+        Lanes<half_t> hacc{};
+        Lanes<float> facc{};
+        for (int f0 = 0; f0 < feat; f0 += 32) {
+          const int lanes = std::min(32, feat - f0);
+          Lanes<half_t> ha{}, hb{};
+          Lanes<float> fa{}, fb{};
+          for (int l = 0; l < lanes; ++l) {
+            const auto lu = static_cast<std::size_t>(l);
+            const auto k = static_cast<std::size_t>(f0 + l);
+            ha[lu] = ah[ra + k];
+            hb[lu] = bh[rb + k];
+            fa[lu] = af[ra + k];
+            fb[lu] = bf[rb + k];
+          }
+          simd::scalar::h_fma_mask(hacc, ha, hb, prefix_mask(lanes));
+          simd::scalar::f_fma_mask(facc, fa, fb, prefix_mask(lanes));
+        }
+        for (int offset = 1; offset < 32; offset <<= 1) {
+          simd::scalar::shfl_xor_h(hacc, offset, kFullMask, false);
+          simd::scalar::shfl_xor_f(facc, offset, kFullMask, false);
+        }
+        ASSERT_EQ(hacc[0].bits(), hs[eu].bits())
+            << "h_sddmm_run vs unfused trial " << trial << " edge " << e;
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(facc[0]),
+                  std::bit_cast<std::uint32_t>(fs[eu]))
+            << "f_sddmm_run vs unfused trial " << trial << " edge " << e;
+      }
+    }
+  }
+}
+
 TEST_F(SimdAvx2, MaskedFmaAndDotMatchScalar) {
   std::mt19937 rng(0xD07u);
   for (int trial = 0; trial < 600; ++trial) {
@@ -568,20 +733,78 @@ TEST_F(SimdAvx2, SpmmCusparseF16IdenticalAcrossPaths) {
       });
 }
 
+std::vector<std::uint16_t> bits_of(std::span<const float> v) {
+  std::vector<std::uint16_t> out;
+  out.reserve(2 * v.size());
+  for (const float x : v) {
+    const auto b = std::bit_cast<std::uint32_t>(x);
+    out.push_back(static_cast<std::uint16_t>(b));
+    out.push_back(static_cast<std::uint16_t>(b >> 16));
+  }
+  return out;
+}
+
+// Every SDDMM flavor with a fused train path, over feature widths that
+// give every sub-warp shape (1..32 lanes per edge, multi-chunk rows), on a
+// graph whose edge count leaves a partial last CTA.
 TEST_F(SimdAvx2, SddmmHalfgnnIdenticalAcrossPaths) {
   KernelFixture f;
+  const eid_t m = f.g.m();
+  ASSERT_NE(m % (kernels::kEdgesPerWarp * kernels::kWarpsPerCta), 0);
   Device dev(a100_spec());
   Stream stream(dev);
-  run_both_paths_and_compare(
-      "sddmm_halfgnn h8",
-      [&](bool profiled, std::vector<std::uint16_t>& out_bits) {
-        AlignedVec<half_t> e(static_cast<std::size_t>(f.coo.row.size()));
-        const auto ks =
-            kernels::sddmm_halfgnn(stream, profiled, f.g, f.xh, f.xh, e,
-                                   f.feat, kernels::SddmmVec::kHalf8);
-        out_bits = bits_of(e);
-        return ks;
-      });
+  std::mt19937 rng(0x5DDu);
+  for (const int feat : {8, 16, 24, 48, 64, 128, 264}) {
+    const auto n = static_cast<std::size_t>(f.g.n()) *
+                   static_cast<std::size_t>(feat);
+    AlignedVec<half_t> xa(n), xb(n);
+    for (auto& v : xa) {
+      v = half_t((static_cast<float>(rng() % 4000u) - 2000.0f) / 128.0f);
+    }
+    for (auto& v : xb) {
+      v = half_t((static_cast<float>(rng() % 4000u) - 2000.0f) / 128.0f);
+    }
+    AlignedVec<float> fa(n), fb(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      fa[i] = xa[i].to_float();
+      fb[i] = xb[i].to_float();
+    }
+    for (const auto vec : {kernels::SddmmVec::kHalf2,
+                           kernels::SddmmVec::kHalf4,
+                           kernels::SddmmVec::kHalf8}) {
+      const std::string what = "sddmm_halfgnn h" +
+                               std::to_string(static_cast<int>(vec)) +
+                               " feat " + std::to_string(feat);
+      run_both_paths_and_compare(
+          what.c_str(),
+          [&](bool profiled, std::vector<std::uint16_t>& out_bits) {
+            AlignedVec<half_t> e(static_cast<std::size_t>(m));
+            const auto ks = kernels::sddmm_halfgnn(stream, profiled, f.g, xa,
+                                                   xb, e, feat, vec);
+            out_bits = bits_of(e);
+            return ks;
+          });
+    }
+    const std::string dgl = " feat " + std::to_string(feat);
+    run_both_paths_and_compare(
+        ("sddmm_dgl_f16" + dgl).c_str(),
+        [&](bool profiled, std::vector<std::uint16_t>& out_bits) {
+          AlignedVec<half_t> e(static_cast<std::size_t>(m));
+          const auto ks = kernels::sddmm_dgl_f16(stream, profiled, f.g, xa,
+                                                 xb, e, feat);
+          out_bits = bits_of(e);
+          return ks;
+        });
+    run_both_paths_and_compare(
+        ("sddmm_dgl_f32" + dgl).c_str(),
+        [&](bool profiled, std::vector<std::uint16_t>& out_bits) {
+          AlignedVec<float> e(static_cast<std::size_t>(m));
+          const auto ks = kernels::sddmm_dgl_f32(stream, profiled, f.g, fa,
+                                                 fb, e, feat);
+          out_bits = bits_of(std::span<const float>(e));
+          return ks;
+        });
+  }
 }
 
 TEST_F(SimdAvx2, EdgeSoftmaxIdenticalAcrossPaths) {
