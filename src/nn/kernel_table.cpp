@@ -379,6 +379,21 @@ constexpr KernelDesc kSpmmCusparseF16 = spmm_kernel(
 constexpr KernelDesc kSddmmDglF32 = sddmm_kernel(
     "sddmm_dgl_f32", kF32Work, kF32, Accum::kF32, run_sddmm_dgl_f32);
 
+// The paper's kernel: edge-parallel, discretized mean — each <=seg-edge
+// partial is scaled by inv_deg at flush, so no running value ever holds
+// more than min(deg, seg) unnormalized terms. batch_cap is the widest
+// segment (feat >= 64); halfgnn_batch_cap(feat) refines it per site.
+constexpr KernelDesc kSpmmHalfgnn = {
+    .label = "spmm_halfgnn", .op = SparseOp::kSpmm,
+    .dtypes = dtype_bit(kF16), .storage = kF16, .accum = Accum::kF16,
+    .mean_scale = MeanScale::kDiscretized, .reducing = true,
+    .max_reduce = true, .policy = ConflictPolicy::kStagedSum,
+    .batch_cap = 128, .launch_names = kHalfgnnNames,
+    .run = run_spmm_halfgnn};
+constexpr KernelDesc kSddmmHalfgnn =
+    sddmm_kernel("sddmm_halfgnn", dtype_bit(kF16), kF16, Accum::kF16,
+                 run_sddmm_halfgnn, kSddmmHalfgnnNames);
+
 constexpr const char* kReferenceWhy =
     "guard fallback: host fp64 reference (outside the fault domain)";
 
@@ -391,18 +406,14 @@ constexpr KernelDesc kTable[] = {
              "mode=DGL-float: row-parallel f32 cuSPARSE-like path"),
     in_modes(kSpmmCusparseF32, kNotDglFloat,
              "dtype=f32: lattice override runs the float path"),
-    // The paper's kernel: edge-parallel, discretized mean — each <=seg-edge
-    // partial is scaled by inv_deg at flush, so no running value ever holds
-    // more than min(deg, seg) unnormalized terms. batch_cap is the widest
-    // segment (feat >= 64); halfgnn_batch_cap(feat) refines it per site.
-    {.label = "spmm_halfgnn", .op = SparseOp::kSpmm,
-     .dtypes = dtype_bit(kF16), .modes = kNotDglHalf, .storage = kF16,
-     .accum = Accum::kF16, .mean_scale = MeanScale::kDiscretized,
-     .reducing = true, .policy = ConflictPolicy::kStagedSum,
-     .batch_cap = 128, .launch_names = kHalfgnnNames,
-     .why = "mode=HalfGNN: edge-parallel half2 with discretized scaling "
-            "(overflow-protected reduction)",
-     .run = run_spmm_halfgnn},
+    // f16 under DGL-float is a lattice override onto the HalfGNN rows:
+    // same ladder, its own rationale.
+    in_modes(kSpmmHalfgnn, kHalfGnn,
+             "mode=HalfGNN: edge-parallel half2 with discretized scaling "
+             "(overflow-protected reduction)"),
+    in_modes(kSpmmHalfgnn, kDglFloat,
+             "dtype=f16: lattice override runs the edge-parallel half2 "
+             "kernel with discretized scaling"),
     in_modes(kSpmmCusparseF16, kDglHalf,
              "mode=DGL-half: scalar-load half path with atomic-half "
              "accumulation (Fig. 3a arithmetic)"),
@@ -446,10 +457,10 @@ constexpr KernelDesc kTable[] = {
              "mode=DGL-float: scalar f32 dot per edge"),
     in_modes(kSddmmDglF32, kNotDglFloat,
              "dtype=f32/PTQ: attention scores stay float"),
-    in_modes(sddmm_kernel("sddmm_halfgnn", dtype_bit(kF16), kF16,
-                          Accum::kF16, run_sddmm_halfgnn, kSddmmHalfgnnNames),
-             kNotDglHalf,
+    in_modes(kSddmmHalfgnn, kHalfGnn,
              "mode=HalfGNN: half8 vectorized loads (4x fewer sectors)"),
+    in_modes(kSddmmHalfgnn, kDglFloat,
+             "dtype=f16: lattice override runs the half8 vectorized kernel"),
     in_modes(sddmm_kernel("sddmm_dgl_f16", dtype_bit(kF16), kF16,
                           Accum::kF16, run_sddmm_dgl_f16),
              kDglHalf, "mode=DGL-half: scalar half loads (no vectorization)"),
@@ -475,8 +486,10 @@ constexpr KernelDesc kTable[] = {
              kHalfGnn, "mode=HalfGNN: shadow half reduction (range-safe)"),
     in_modes(edge("edge_segreduce_f16", SparseOp::kSegMax, kF16,
                   run_seg_reduce, "edge_segment_reduce_f16"),
-             kDglFloat | kDglHalf,
-             "mode=DGL-half: max/min stay half under AMP"),
+             kDglFloat, "dtype=f16: lattice override reduces in half"),
+    in_modes(edge("edge_segreduce_f16", SparseOp::kSegMax, kF16,
+                  run_seg_reduce, "edge_segment_reduce_f16"),
+             kDglHalf, "mode=DGL-half: max/min stay half under AMP"),
     in_modes(edge("edge_segreduce_bf16", SparseOp::kSegMax, kBf16,
                   run_seg_reduce, "edge_segment_reduce_bf16"),
              kAnyMode,
@@ -493,7 +506,7 @@ constexpr KernelDesc kTable[] = {
              kHalfGnn, "mode=HalfGNN: shadow half reduction (range-safe)"),
     in_modes(edge("edge_segreduce_f16", SparseOp::kSegSum, kF16,
                   run_seg_reduce, "edge_segment_reduce_f16"),
-             kDglFloat, "mode=DGL-half: max/min stay half under AMP"),
+             kDglFloat, "dtype=f16: lattice override reduces in half"),
     amp_promoted(edge("edge_segreduce_f32", SparseOp::kSegSum, kF32,
                       run_seg_reduce, "edge_segment_reduce_f32"),
                  "mode=DGL-half: AMP promotes 'sum' to float "
@@ -514,8 +527,13 @@ constexpr KernelDesc kTable[] = {
     // Shadow exp (Sec. 5.3): vals - rowmax <= 0, so half is safe.
     in_modes(edge("edge_expsub_f16", SparseOp::kEdgeExp, kF16,
                   run_exp_sub_row, "edge_exp_sub_row_f16"),
-             kNotDglHalf,
+             kHalfGnn,
              "mode=HalfGNN: shadow half exp (e - max <= 0, in range)"),
+    in_modes(edge("edge_expsub_f16", SparseOp::kEdgeExp, kF16,
+                  run_exp_sub_row, "edge_exp_sub_row_f16"),
+             kDglFloat,
+             "dtype=f16: lattice override runs the shadow half exp "
+             "(e - max <= 0, in range)"),
     // AMP promotes exp: both operands ride to float, the result rides back
     // (the exact churn Sec. 3.1.2 dissects).
     amp_promoted(edge("edge_expsub_f32", SparseOp::kEdgeExp, kF32,

@@ -388,7 +388,16 @@ TEST(KernelTable, LaunchedNamesMatchLaunches) {
 
     obs::registry().reset();
     obs::registry().set_enabled(true);
-    for (const OpArgs& c : configs) (void)invoke(row, c);
+    for (const OpArgs& c : configs) {
+      (void)invoke(row, c);
+      // A row that completes a kMax SpMM implements max: the lint's
+      // policy-consistent rule reads max_reduce, so it must say so.
+      if (row.op == SparseOp::kSpmm && c.reduce == kernels::Reduce::kMax) {
+        EXPECT_TRUE(row.max_reduce)
+            << row.label << " completes a Reduce::kMax SpMM but does not "
+            << "declare max_reduce";
+      }
+    }
     std::set<std::string> launched;
     for (const auto& [name, entry] : obs::registry().kernels()) {
       launched.insert(name);
