@@ -18,6 +18,7 @@
 // pool with each gemm core for the same-run gemm_simd_ratio.
 //
 // Usage: bench_hostperf [output.json]  (default: BENCH_hostperf.json in cwd)
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -171,6 +172,7 @@ int run(const std::string& path) {
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   double spmm_profiled_ms = 0;
   double spmm_train_ms = kNaN;
+  double sddmm_train_ms = kNaN;
   for (const auto& c : cases) {
     // The cost model charges identically on every SIMD path, so the
     // profiled run's lane_ops also describes the train run's work; the
@@ -189,6 +191,9 @@ int run(const std::string& path) {
              profiled ? r.modeled_ms : kNaN});
       if (profiled && c.name == "spmm_halfgnn") spmm_profiled_ms = r.host_ms;
       if (!profiled && c.name == "spmm_halfgnn") spmm_train_ms = r.host_ms;
+      if (!profiled && c.name == "sddmm_halfgnn_h8") {
+        sddmm_train_ms = r.host_ms;
+      }
     }
   }
 
@@ -291,23 +296,28 @@ int run(const std::string& path) {
                                               : kNaN);
   }
 
-  // Forced-scalar reference row for the tentpole kernel: every report
-  // carries the vector-vs-scalar train ratio measured on the machine that
-  // produced it, so the SIMD win is gated as a same-run ratio rather than a
-  // machine-dependent absolute. No-ops (ratio 1) when the scalar path is
-  // already active.
-  {
+  // Forced-scalar reference rows for the fused train-mode kernels: every
+  // report carries the vector-vs-scalar train ratio measured on the
+  // machine that produced it, so each SIMD win is gated as a same-run
+  // ratio rather than a machine-dependent absolute. No-ops (ratio 1) when
+  // the scalar path is already active.
+  const auto scalar_row = [&](const std::string& kernel,
+                              const std::string& label, double train_ms) {
+    const auto c = std::find_if(cases.begin(), cases.end(),
+                                [&](const Case& k) { return k.name == kernel; });
     const simt::simd::Path active = simt::simd::active_path();
     simt::simd::set_path(simt::simd::Path::kScalar);
-    const Measured s = measure(cases[0], false, reps);
+    const Measured s = measure(*c, false, reps);
     simt::simd::set_path(active);
     const double scalar_ms = s.host_ms;
     const double edges_per_s =
         scalar_ms > 0 ? static_cast<double>(m) / (scalar_ms / 1e3) : kNaN;
-    t.row("spmm_halfgnn_scalar train", {scalar_ms, edges_per_s, kNaN, kNaN});
-    t.report().summary("spmm_halfgnn_train_simd_ratio",
-                       scalar_ms > 0 ? spmm_train_ms / scalar_ms : kNaN);
-  }
+    t.row(label + "_scalar train", {scalar_ms, edges_per_s, kNaN, kNaN});
+    t.report().summary(label + "_train_simd_ratio",
+                       scalar_ms > 0 ? train_ms / scalar_ms : kNaN);
+  };
+  scalar_row("spmm_halfgnn", "spmm_halfgnn", spmm_train_ms);
+  scalar_row("sddmm_halfgnn_h8", "sddmm_halfgnn", sddmm_train_ms);
   t.report().summary("spmm_halfgnn_profiled_host_ms", spmm_profiled_ms);
   t.finish(
       "=== Host perf: wall ms simulating each kernel family (profiled vs "
