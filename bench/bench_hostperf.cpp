@@ -97,6 +97,12 @@ int run(const std::string& path) {
   AlignedVec<float> yf(n * f);
   AlignedVec<half_t> eh(m);
   AlignedVec<half_t> rh(n);
+  // Edge-softmax backward chain buffers: dalpha, two edge gradients, and
+  // the reverse-edge map the transposed row sums gather through.
+  const auto dah = random_h16(m, 9);
+  AlignedVec<half_t> dsh(m);
+  AlignedVec<half_t> dsr(m);
+  const auto rev = reverse_edge_permutation(d.csr);
   const auto groups = kernels::build_neighbor_groups(d.csr, 32);
 
   simt::Device dev(simt::a100_spec());
@@ -153,6 +159,26 @@ int run(const std::string& path) {
          ks += kernels::edge_div_row<half_t>(stream, p, g, eh, rh, eh);
          return ks;
        }},
+      {"edge_softmax_bwd_f16",
+       [&](bool p) {
+         // GatConv::backward's edge chain: t = alpha*dalpha and its row
+         // sums, the softmax and leaky-ReLU backward, then the row sums of
+         // ds and of its reverse-edge gather.
+         using kernels::SegReduce;
+         auto ks = kernels::edge_mul<half_t>(stream, p, wh, dah, dsh);
+         ks += kernels::edge_segment_reduce<half_t>(stream, p, g, dsh, rh,
+                                                    SegReduce::kSum);
+         ks += kernels::edge_softmax_backward<half_t>(stream, p, g, wh, dah,
+                                                      rh, dsh);
+         ks += kernels::edge_leaky_backward<half_t>(stream, p, wh, dsh, dsh,
+                                                    0.2f);
+         ks += kernels::edge_segment_reduce<half_t>(stream, p, g, dsh, rh,
+                                                    SegReduce::kSum);
+         ks += kernels::edge_permute<half_t>(stream, p, dsh, rev, dsr);
+         ks += kernels::edge_segment_reduce<half_t>(stream, p, g, dsr, rh,
+                                                    SegReduce::kSum);
+         return ks;
+       }},
   };
 
   BenchTable t("hostperf", "kernel/mode",
@@ -173,6 +199,7 @@ int run(const std::string& path) {
   double spmm_profiled_ms = 0;
   double spmm_train_ms = kNaN;
   double sddmm_train_ms = kNaN;
+  double edge_train_ms = kNaN;
   for (const auto& c : cases) {
     // The cost model charges identically on every SIMD path, so the
     // profiled run's lane_ops also describes the train run's work; the
@@ -193,6 +220,9 @@ int run(const std::string& path) {
       if (!profiled && c.name == "spmm_halfgnn") spmm_train_ms = r.host_ms;
       if (!profiled && c.name == "sddmm_halfgnn_h8") {
         sddmm_train_ms = r.host_ms;
+      }
+      if (!profiled && c.name == "edge_softmax_f16") {
+        edge_train_ms = r.host_ms;
       }
     }
   }
@@ -302,7 +332,8 @@ int run(const std::string& path) {
   // ratio rather than a machine-dependent absolute. No-ops (ratio 1) when
   // the scalar path is already active.
   const auto scalar_row = [&](const std::string& kernel,
-                              const std::string& label, double train_ms) {
+                              const std::string& label,
+                              const std::string& ratio, double train_ms) {
     const auto c = std::find_if(cases.begin(), cases.end(),
                                 [&](const Case& k) { return k.name == kernel; });
     const simt::simd::Path active = simt::simd::active_path();
@@ -313,11 +344,14 @@ int run(const std::string& path) {
     const double edges_per_s =
         scalar_ms > 0 ? static_cast<double>(m) / (scalar_ms / 1e3) : kNaN;
     t.row(label + "_scalar train", {scalar_ms, edges_per_s, kNaN, kNaN});
-    t.report().summary(label + "_train_simd_ratio",
-                       scalar_ms > 0 ? train_ms / scalar_ms : kNaN);
+    t.report().summary(ratio, scalar_ms > 0 ? train_ms / scalar_ms : kNaN);
   };
-  scalar_row("spmm_halfgnn", "spmm_halfgnn", spmm_train_ms);
-  scalar_row("sddmm_halfgnn_h8", "sddmm_halfgnn", sddmm_train_ms);
+  scalar_row("spmm_halfgnn", "spmm_halfgnn", "spmm_halfgnn_train_simd_ratio",
+             spmm_train_ms);
+  scalar_row("sddmm_halfgnn_h8", "sddmm_halfgnn",
+             "sddmm_halfgnn_train_simd_ratio", sddmm_train_ms);
+  scalar_row("edge_softmax_f16", "edge_softmax_f16",
+             "edge_chain_train_simd_ratio", edge_train_ms);
   t.report().summary("spmm_halfgnn_profiled_host_ms", spmm_profiled_ms);
   t.finish(
       "=== Host perf: wall ms simulating each kernel family (profiled vs "

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <limits>
 
 namespace hg::kernels {
@@ -25,13 +24,36 @@ KernelStats launch(simt::Stream& stream, bool profiled, const LaunchDesc& cfg,
                   : stream.launch<false>(cfg, body);
 }
 
+// Element types with fused train-mode runs (simd::EdgeRuns); bf16 always
+// takes the per-access loop. A CTA runs its fused form on the vector path
+// in train mode with every hook disarmed: the runs are bit-identical to the
+// per-access loops (property-tested in simd_test), and the per-access
+// charges they skip compile away in this mode.
+template <class T>
+inline constexpr bool fused_v =
+    std::is_same_v<T, half_t> || std::is_same_v<T, float>;
+
 // Shared edge-parallel skeleton: one warp handles kEdgesPerWarp edges in
-// 32-wide batches; `fn(w, e_base, cnt)` processes one batch.
-template <class Fn>
+// 32-wide batches; `fn(w, e_base, cnt)` processes one batch. A fused CTA
+// instead makes one `fused(simd::edge_runs<T>(), e0, n)` call over its
+// contiguous range [e0, e0 + n).
+template <class T, class Fused, class Fn>
 KernelStats edge_parallel(simt::Stream& stream, bool profiled,
-                          const char* name, eid_t m, Fn&& fn) {
+                          const char* name, eid_t m, Fused&& fused, Fn&& fn) {
   const LaunchDesc cfg{name, num_ctas_for_edges(m), kWarpsPerCta};
+  constexpr eid_t kEdgesPerCta =
+      static_cast<eid_t>(kEdgesPerWarp) * kWarpsPerCta;
   return launch(stream, profiled, cfg, [&](auto& cta) {
+    if constexpr (fused_v<T>) {
+      if (simd::vector_enabled() && cta.fused_fast_path()) {
+        const eid_t e0 = static_cast<eid_t>(cta.cta_id()) * kEdgesPerCta;
+        const eid_t e1 = std::min<eid_t>(m, e0 + kEdgesPerCta);
+        if (e0 < e1) {
+          fused(simd::edge_runs<T>(), e0, static_cast<int>(e1 - e0));
+        }
+        return;
+      }
+    }
     cta.for_each_warp([&](auto& w) {
       const eid_t gw = static_cast<eid_t>(cta.cta_id()) * kWarpsPerCta +
                        w.warp_in_cta();
@@ -49,23 +71,6 @@ KernelStats edge_parallel(simt::Stream& stream, bool profiled,
 template <class T>
 inline constexpr bool reduced_v = sizeof(T) == 2;
 
-template <class T>
-float as_f(T v) {
-  if constexpr (reduced_v<T>) {
-    return v.to_float();
-  } else {
-    return v;
-  }
-}
-template <class T>
-T from_f(float v) {
-  if constexpr (reduced_v<T>) {
-    return T(v);
-  } else {
-    return v;
-  }
-}
-
 // The launch name for element type T out of an op's {f32, f16, bf16} names.
 template <class T>
 const char* launch_name(const char* f32, const char* f16, const char* bf16) {
@@ -78,66 +83,73 @@ const char* launch_name(const char* f32, const char* f16, const char* bf16) {
   }
 }
 
+// Lane l <- rows[l] widened to a gather index, for l < cnt.
+Lanes<std::int64_t> widen(const Lanes<vid_t>& v, int cnt) {
+  Lanes<std::int64_t> idx{};
+  for (int l = 0; l < cnt; ++l) {
+    idx[static_cast<std::size_t>(l)] = v[static_cast<std::size_t>(l)];
+  }
+  return idx;
+}
+
 // ---------------------------------------------------------------------------
 // generic edge-parallel elementwise with row gather
 // ---------------------------------------------------------------------------
-// mode 0: leaky_relu(el[row] + er[col]); mode 1: exp(v - rowv[row]);
-// mode 2: v / rowv[row].
-template <class T>
+enum class RowOp {
+  kAddLeaky,  // leaky_relu(el[row] + er[col])
+  kExpSub,    // exp(v - rowv[row])
+  kDivRow,    // v / rowv[row]
+};
+
+template <RowOp kOp, class T>
 KernelStats edge_rowwise(simt::Stream& stream, bool profiled,
                          const GraphView& g, std::span<const T> va,
-                         std::span<const T> vb, std::span<T> out, int mode,
-                         float slope, const char* name) {
+                         std::span<const T> vb, std::span<T> out, float slope,
+                         const char* name) {
   constexpr bool is_half = reduced_v<T>;
-  return edge_parallel(
-      stream, profiled, name, g.m(), [&](auto& w, eid_t b, int cnt) {
+  return edge_parallel<T>(
+      stream, profiled, name, g.m(),
+      [&](const auto& run, eid_t e0, int n) {
+        const auto eu = static_cast<std::size_t>(e0);
+        const vid_t* rows = g.coo->row.data() + eu;
+        if constexpr (kOp == RowOp::kAddLeaky) {
+          run.add_leaky(out.data() + eu, va.data(), vb.data(), rows,
+                        g.coo->col.data() + eu, n, slope);
+        } else if constexpr (kOp == RowOp::kExpSub) {
+          run.exp_sub(out.data() + eu, va.data() + eu, vb.data(), rows, n);
+        } else {
+          run.div_row(out.data() + eu, va.data() + eu, vb.data(), rows, n);
+        }
+      },
+      [&](auto& w, eid_t b, int cnt) {
         Lanes<vid_t> rows{};
         w.template load_contiguous<vid_t>(g.coo->row, b, cnt, rows);
-        Lanes<std::int64_t> ridx{};
-        for (int l = 0; l < cnt; ++l) {
-          ridx[static_cast<std::size_t>(l)] =
-              rows[static_cast<std::size_t>(l)];
-        }
+        const Lanes<std::int64_t> ridx = widen(rows, cnt);
         Lanes<T> edge_vals{}, row_vals{};
         Lanes<T> result{};
-        if (mode == 0) {
+        if constexpr (kOp == RowOp::kAddLeaky) {
           // el gathered by row, er gathered by col.
           Lanes<vid_t> colsv{};
           w.template load_contiguous<vid_t>(g.coo->col, b, cnt, colsv);
-          Lanes<std::int64_t> cidx{};
-          for (int l = 0; l < cnt; ++l) {
-            cidx[static_cast<std::size_t>(l)] =
-                colsv[static_cast<std::size_t>(l)];
-          }
           w.template gather<T>(va, ridx, prefix_mask(cnt), edge_vals);
-          w.template gather<T>(vb, cidx, prefix_mask(cnt), row_vals);
+          w.template gather<T>(vb, widen(colsv, cnt), prefix_mask(cnt),
+                               row_vals);
           for (int l = 0; l < cnt; ++l) {
-            const float s = as_f(edge_vals[static_cast<std::size_t>(l)]) +
-                            as_f(row_vals[static_cast<std::size_t>(l)]);
-            result[static_cast<std::size_t>(l)] =
-                from_f<T>(s > 0 ? s : slope * s);
+            const auto lu = static_cast<std::size_t>(l);
+            result[lu] = simd::scalar::add_leaky_elem(edge_vals[lu],
+                                                      row_vals[lu], slope);
           }
           w.alu(is_half ? Op::kHalfIntrin : Op::kFloatAlu, 2, cnt);
         } else {
           w.template load_contiguous<T>(va, b, cnt, edge_vals);
           w.template gather<T>(vb, ridx, prefix_mask(cnt), row_vals);
           for (int l = 0; l < cnt; ++l) {
-            const float v = as_f(edge_vals[static_cast<std::size_t>(l)]);
-            const float rv = as_f(row_vals[static_cast<std::size_t>(l)]);
-            float res = 0.0f;
-            if (mode == 1) {
-              res = std::exp(v - rv);
-            } else {
-              res = v / (rv == 0.0f ? 1.0f : rv);
-            }
-            // Half flavor: round the intermediate subtraction like the
-            // device would, then the special-function result.
-            if constexpr (is_half) {
-              if (mode == 1) {
-                res = std::exp(as_f(from_f<T>(v - rv)));
-              }
-            }
-            result[static_cast<std::size_t>(l)] = from_f<T>(res);
+            const auto lu = static_cast<std::size_t>(l);
+            result[lu] = kOp == RowOp::kExpSub
+                             ? simd::scalar::exp_sub_elem(edge_vals[lu],
+                                                          row_vals[lu])
+                             : simd::scalar::div_row_elem(edge_vals[lu],
+                                                          row_vals[lu]);
           }
           w.alu(is_half ? Op::kHalfIntrin : Op::kFloatAlu, 1, cnt);
           w.alu(Op::kSpecial, 1, cnt);
@@ -158,6 +170,7 @@ KernelStats edge_segment_reduce(simt::Stream& stream, bool profiled,
   assert(out.size() == static_cast<std::size_t>(g.n()));
   constexpr bool is_half = reduced_v<T>;
   const vid_t n = g.n();
+  const bool is_max = reduce == SegReduce::kMax;
   const char* name = launch_name<T>("edge_segreduce_f32", "edge_segreduce_f16",
                                     "edge_segreduce_bf16");
   const LaunchDesc cfg{name,
@@ -165,6 +178,20 @@ KernelStats edge_segment_reduce(simt::Stream& stream, bool profiled,
                                         kWarpsPerCta),
                        kWarpsPerCta};
   return launch(stream, profiled, cfg, [&](auto& cta) {
+    if constexpr (fused_v<T>) {
+      if (simd::vector_enabled() && cta.fused_fast_path()) {
+        // One call over the CTA's rows (one per warp below).
+        const vid_t r0 = static_cast<vid_t>(cta.cta_id()) * kWarpsPerCta;
+        const vid_t r1 = std::min<vid_t>(n, r0 + kWarpsPerCta);
+        if (r0 < r1) {
+          const auto ru = static_cast<std::size_t>(r0);
+          simd::edge_runs<T>().seg_reduce(out.data() + ru, vals.data(),
+                                          g.csr->offsets.data() + ru,
+                                          r1 - r0, is_max);
+        }
+        return;
+      }
+    }
     cta.for_each_warp([&](auto& w) {
       const vid_t r = static_cast<vid_t>(cta.cta_id()) * kWarpsPerCta +
                       w.warp_in_cta();
@@ -173,9 +200,10 @@ KernelStats edge_segment_reduce(simt::Stream& stream, bool profiled,
       const eid_t hi = g.csr->offsets[r + 1];
 
       Lanes<T> acc{};
-      const T ninf = from_f<T>(-std::numeric_limits<float>::infinity());
+      const T ninf =
+          simd::scalar::edge_t<T>(-std::numeric_limits<float>::infinity());
       for (auto& a : acc) {
-        a = reduce == SegReduce::kMax ? ninf : T{};
+        a = is_max ? ninf : T{};
       }
       for (eid_t b = lo; b < hi; b += 32) {
         const int cnt = static_cast<int>(std::min<eid_t>(32, hi - b));
@@ -185,17 +213,16 @@ KernelStats edge_segment_reduce(simt::Stream& stream, bool profiled,
         // float-domain compare + bit-preserving select the per-lane loop
         // performed. bf16 stays scalar (no SIMD primitive).
         if constexpr (std::is_same_v<T, half_t>) {
-          simd::ops().h_accum(acc.data(), v.data(), cnt,
-                              reduce == SegReduce::kMax);
+          simd::ops().h_accum(acc.data(), v.data(), cnt, is_max);
         } else if constexpr (std::is_same_v<T, float>) {
           simd::ops().f_accum(acc.data(), v.data(), 1.0f, cnt,
-                              reduce == SegReduce::kMax ? simd::kIsMax : 0u);
+                              is_max ? simd::kIsMax : 0u);
         } else {
           for (int l = 0; l < cnt; ++l) {
             auto& slot = acc[static_cast<std::size_t>(l)];
             const T x = v[static_cast<std::size_t>(l)];
-            if (reduce == SegReduce::kMax) {
-              slot = as_f(slot) < as_f(x) ? x : slot;
+            if (is_max) {
+              slot = slot.to_float() < x.to_float() ? x : slot;
             } else {
               slot = slot + x;
             }
@@ -206,16 +233,16 @@ KernelStats edge_segment_reduce(simt::Stream& stream, bool profiled,
       if constexpr (std::is_same_v<T, bf16_t>) {
         w.butterfly_reduce(acc, 32, simt::kFullMask, Op::kHalfIntrin,
                            [&](T x, T y) {
-                             if (reduce == SegReduce::kMax) {
-                               return as_f(x) < as_f(y) ? y : x;
+                             if (is_max) {
+                               return x.to_float() < y.to_float() ? y : x;
                              }
                              return x + y;
                            });
       } else {
         w.butterfly_reduce(acc, 32, simt::kFullMask,
                            is_half ? Op::kHalfIntrin : Op::kFloatAlu,
-                           reduce == SegReduce::kMax ? simt::WarpCombine::kMax
-                                                     : simt::WarpCombine::kAdd);
+                           is_max ? simt::WarpCombine::kMax
+                                  : simt::WarpCombine::kAdd);
       }
       T result = acc[0];
       if (hi == lo) result = T{};  // empty row
@@ -236,28 +263,28 @@ KernelStats edge_add_scalars(simt::Stream& stream, bool profiled,
                              const GraphView& g, std::span<const T> el,
                              std::span<const T> er, std::span<T> out,
                              float slope) {
-  return edge_rowwise(stream, profiled, g, el, er, out, 0, slope,
-                      launch_name<T>("edge_addscalar_f32",
-                                     "edge_addscalar_f16",
-                                     "edge_addscalar_bf16"));
+  return edge_rowwise<RowOp::kAddLeaky>(
+      stream, profiled, g, el, er, out, slope,
+      launch_name<T>("edge_addscalar_f32", "edge_addscalar_f16",
+                     "edge_addscalar_bf16"));
 }
 
 template <class T>
 KernelStats edge_exp_sub_row(simt::Stream& stream, bool profiled,
                              const GraphView& g, std::span<const T> vals,
                              std::span<const T> rowv, std::span<T> out) {
-  return edge_rowwise(stream, profiled, g, vals, rowv, out, 1, 0.0f,
-                      launch_name<T>("edge_expsub_f32", "edge_expsub_f16",
-                                     "edge_expsub_bf16"));
+  return edge_rowwise<RowOp::kExpSub>(
+      stream, profiled, g, vals, rowv, out, 0.0f,
+      launch_name<T>("edge_expsub_f32", "edge_expsub_f16", "edge_expsub_bf16"));
 }
 
 template <class T>
 KernelStats edge_div_row(simt::Stream& stream, bool profiled,
                          const GraphView& g, std::span<const T> vals,
                          std::span<const T> rowv, std::span<T> out) {
-  return edge_rowwise(stream, profiled, g, vals, rowv, out, 2, 0.0f,
-                      launch_name<T>("edge_divrow_f32", "edge_divrow_f16",
-                                     "edge_divrow_bf16"));
+  return edge_rowwise<RowOp::kDivRow>(
+      stream, profiled, g, vals, rowv, out, 0.0f,
+      launch_name<T>("edge_divrow_f32", "edge_divrow_f16", "edge_divrow_bf16"));
 }
 
 // out = alpha * (dalpha - c[row]) in the value type's precision.
@@ -271,23 +298,25 @@ KernelStats edge_softmax_backward(simt::Stream& stream, bool profiled,
   const char* name =
       launch_name<T>("edge_softmax_bwd_f32", "edge_softmax_bwd_f16",
                      "edge_softmax_bwd_bf16");
-  return edge_parallel(
-      stream, profiled, name, g.m(), [&](auto& w, eid_t b, int cnt) {
+  return edge_parallel<T>(
+      stream, profiled, name, g.m(),
+      [&](const auto& run, eid_t e0, int n) {
+        const auto eu = static_cast<std::size_t>(e0);
+        run.softmax_bwd(out.data() + eu, alpha.data() + eu,
+                        dalpha.data() + eu, c.data(),
+                        g.coo->row.data() + eu, n);
+      },
+      [&](auto& w, eid_t b, int cnt) {
         Lanes<vid_t> rows{};
         w.template load_contiguous<vid_t>(g.coo->row, b, cnt, rows);
-        Lanes<std::int64_t> ridx{};
-        for (int l = 0; l < cnt; ++l) {
-          ridx[static_cast<std::size_t>(l)] =
-              rows[static_cast<std::size_t>(l)];
-        }
         Lanes<T> va{}, vd{}, vc{};
         w.template load_contiguous<T>(alpha, b, cnt, va);
         w.template load_contiguous<T>(dalpha, b, cnt, vd);
-        w.template gather<T>(c, ridx, prefix_mask(cnt), vc);
+        w.template gather<T>(c, widen(rows, cnt), prefix_mask(cnt), vc);
         Lanes<T> r{};
         for (int l = 0; l < cnt; ++l) {
           const auto lu = static_cast<std::size_t>(l);
-          r[lu] = va[lu] * (vd[lu] - vc[lu]);
+          r[lu] = simd::scalar::softmax_bwd_elem(va[lu], vd[lu], vc[lu]);
         }
         w.alu(is_half ? Op::kHalfIntrin : Op::kFloatAlu, 2, cnt);
         w.template store_contiguous<T>(out, b, cnt, r);
@@ -302,8 +331,13 @@ KernelStats edge_leaky_backward(simt::Stream& stream, bool profiled,
   constexpr bool is_half = reduced_v<T>;
   const char* name = launch_name<T>(
       "edge_leaky_bwd_f32", "edge_leaky_bwd_f16", "edge_leaky_bwd_bf16");
-  return edge_parallel(
+  return edge_parallel<T>(
       stream, profiled, name, static_cast<eid_t>(pre.size()),
+      [&](const auto& run, eid_t e0, int n) {
+        const auto eu = static_cast<std::size_t>(e0);
+        run.leaky_bwd(out.data() + eu, pre.data() + eu, grad.data() + eu, n,
+                      slope);
+      },
       [&](auto& w, eid_t b, int cnt) {
         Lanes<T> vp{}, vg{};
         w.template load_contiguous<T>(pre, b, cnt, vp);
@@ -311,11 +345,7 @@ KernelStats edge_leaky_backward(simt::Stream& stream, bool profiled,
         Lanes<T> r{};
         for (int l = 0; l < cnt; ++l) {
           const auto lu = static_cast<std::size_t>(l);
-          const bool pos = as_f(vp[lu]) > 0.0f;
-          r[lu] = pos ? vg[lu] : from_f<T>(as_f(vg[lu]) * slope);
-          if constexpr (is_half) {
-            if (!pos) r[lu] = vg[lu] * from_f<T>(slope);
-          }
+          r[lu] = simd::scalar::leaky_bwd_elem(vp[lu], vg[lu], slope);
         }
         w.alu(is_half ? Op::kHalfIntrin : Op::kFloatAlu, 1, cnt);
         w.template store_contiguous<T>(out, b, cnt, r);
@@ -328,15 +358,15 @@ KernelStats edge_permute(simt::Stream& stream, bool profiled,
                          std::span<T> out) {
   const char* name = launch_name<T>("edge_permute_f32", "edge_permute_f16",
                                     "edge_permute_bf16");
-  return edge_parallel(
+  return edge_parallel<T>(
       stream, profiled, name, static_cast<eid_t>(perm.size()),
+      [&](const auto& run, eid_t e0, int n) {
+        const auto eu = static_cast<std::size_t>(e0);
+        run.gather(out.data() + eu, in.data(), perm.data() + eu, n);
+      },
       [&](auto& w, eid_t b, int cnt) {
-        Lanes<eid_t> pv{};
-        w.template load_contiguous<eid_t>(perm, b, cnt, pv);
-        Lanes<std::int64_t> idx{};
-        for (int l = 0; l < cnt; ++l) {
-          idx[static_cast<std::size_t>(l)] = pv[static_cast<std::size_t>(l)];
-        }
+        Lanes<eid_t> idx{};
+        w.template load_contiguous<eid_t>(perm, b, cnt, idx);
         Lanes<T> v{};
         w.template gather<T>(in, idx, prefix_mask(cnt), v);
         w.template store_contiguous<T>(out, b, cnt, v);
@@ -350,8 +380,12 @@ KernelStats edge_mul(simt::Stream& stream, bool profiled,
   constexpr bool is_half = reduced_v<T>;
   const char* name =
       launch_name<T>("edge_mul_f32", "edge_mul_f16", "edge_mul_bf16");
-  return edge_parallel(
+  return edge_parallel<T>(
       stream, profiled, name, static_cast<eid_t>(a.size()),
+      [&](const auto& run, eid_t e0, int n) {
+        const auto eu = static_cast<std::size_t>(e0);
+        run.mul(out.data() + eu, a.data() + eu, b.data() + eu, n);
+      },
       [&](auto& w, eid_t bb, int cnt) {
         Lanes<T> va{}, vb{};
         w.template load_contiguous<T>(a, bb, cnt, va);
@@ -359,7 +393,7 @@ KernelStats edge_mul(simt::Stream& stream, bool profiled,
         Lanes<T> r{};
         for (int l = 0; l < cnt; ++l) {
           const auto lu = static_cast<std::size_t>(l);
-          r[lu] = va[lu] * vb[lu];
+          r[lu] = simd::scalar::mul_elem(va[lu], vb[lu]);
         }
         w.alu(is_half ? Op::kHalfIntrin : Op::kFloatAlu, 1, cnt);
         w.template store_contiguous<T>(out, bb, cnt, r);

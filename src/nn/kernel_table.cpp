@@ -358,13 +358,12 @@ constexpr std::string_view kCusparseF32Names[] = {"spmm_cusparse_f32",
                                                   "scale_f32"};
 constexpr std::string_view kCusparseF16Names[] = {"spmm_cusparse_f16",
                                                   "scale_f16"};
-constexpr std::string_view kHalfgnnNames[] = {
-    "spmm_halfgnn", "spmm_halfgnn_followup", "spmm_halfgnn_postscale"};
+constexpr std::string_view kHalfgnnNames[] = {"spmm_halfgnn",
+                                              "spmm_halfgnn_followup"};
 constexpr std::string_view kInt8Names[] = {"spmm_int8", "quantize_i8"};
 constexpr std::string_view kBinaryNames[] = {"spmm_binary",
                                              "binarize_pack_b1"};
-constexpr std::string_view kSddmmHalfgnnNames[] = {
-    "sddmm_halfgnn_h2", "sddmm_halfgnn_h4", "sddmm_halfgnn_h8"};
+constexpr std::string_view kSddmmHalfgnnNames[] = {"sddmm_halfgnn_h8"};
 
 // DGL-style f32 SpMM: staged-sum scatter accumulate, mean normalized by a
 // separate scale_rows launch after the whole sum has landed.

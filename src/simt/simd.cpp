@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 namespace hg::simt::simd {
 
@@ -38,6 +39,8 @@ constexpr SimdOps kScalarOps = {
     &scalar::h2_sddmm_run,
     &scalar::h_sddmm_run,
     &scalar::f_sddmm_run,
+    scalar_edge_runs<half_t>(),
+    scalar_edge_runs<float>(),
     &accounting::access_counts,
 };
 
@@ -50,6 +53,18 @@ const SimdOps* avx2_ops_or_null() noexcept;
 #else
 static const SimdOps* avx2_ops_or_null() noexcept { return nullptr; }
 #endif
+
+const std::uint16_t* exp_half_table() noexcept {
+  static const std::vector<std::uint16_t> table = [] {
+    std::vector<std::uint16_t> t(std::size_t{1} << 16);
+    for (std::size_t h = 0; h < t.size(); ++h) {
+      const float x = half_bits_to_float_fast(static_cast<std::uint16_t>(h));
+      t[h] = half_t(std::exp(x)).bits();
+    }
+    return t;
+  }();
+  return table.data();
+}
 
 bool avx2_available() noexcept { return avx2_ops_or_null() != nullptr; }
 

@@ -34,7 +34,10 @@
 #include <array>
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <type_traits>
 
 #include "half/half.hpp"
 #include "half/vec.hpp"
@@ -313,7 +316,201 @@ inline void f_sddmm_run(float* out, const float* a, const float* b,
                 shfl_xor_f);
 }
 
+// ---------------------------------------------------------------------------
+// GAT edge-op family (src/kernels/edge_ops.cpp)
+// ---------------------------------------------------------------------------
+// Per-edge element math, shared by the kernels' per-access loops (every
+// element type, bf16 included) and the run references below. 16-bit types
+// round wherever the device intrinsic would (every T construction); float
+// pins the operand order of its commutative ops (left NaN wins).
+template <class T>
+float edge_f(T v) noexcept {
+  if constexpr (std::is_same_v<T, float>) {
+    return v;
+  } else {
+    return v.to_float();
+  }
+}
+template <class T>
+T edge_t(float v) noexcept {
+  if constexpr (std::is_same_v<T, float>) {
+    return v;
+  } else {
+    return T(v);
+  }
+}
+
+// leaky_relu(el + er): add and leaky in float, one rounding.
+template <class T>
+T add_leaky_elem(T el, T er, float slope) noexcept {
+  const float s = ordered_fadd(edge_f(el), edge_f(er));
+  return edge_t<T>(s > 0 ? s : ordered_fmul(slope, s));
+}
+
+// exp(v - rv); 16-bit types round the difference, then the exp.
+template <class T>
+T exp_sub_elem(T v, T rv) noexcept {
+  const float d = edge_f(v) - edge_f(rv);
+  if constexpr (std::is_same_v<T, float>) {
+    return std::exp(d);
+  } else {
+    return T(std::exp(T(d).to_float()));
+  }
+}
+
+// v / rv with rv == 0 (either sign) read as 1. Spelled as the select the
+// compiler folds v / 1.0f into: v passes through unchanged, so a float
+// signaling NaN stays signaling (a 16-bit T quiets it when it rounds).
+template <class T>
+T div_row_elem(T v, T rv) noexcept {
+  const float r = edge_f(rv);
+  return edge_t<T>(r == 0.0f ? edge_f(v) : edge_f(v) / r);
+}
+
+// alpha * (dalpha - c); 16-bit types round twice. The float product takes
+// the difference as its left operand (its NaN wins), the order the kernel
+// has always computed it in; 16-bit types keep alpha on the left.
+template <class T>
+T softmax_bwd_elem(T alpha, T dalpha, T c) noexcept {
+  if constexpr (std::is_same_v<T, float>) {
+    return ordered_fmul(dalpha - c, alpha);
+  } else {
+    return alpha * (dalpha - c);
+  }
+}
+
+// pre > 0 ? grad : grad * slope, the slope in T (16-bit: grad * T(slope)).
+template <class T>
+T leaky_bwd_elem(T pre, T grad, float slope) noexcept {
+  if (edge_f(pre) > 0.0f) return grad;
+  if constexpr (std::is_same_v<T, float>) {
+    return ordered_fmul(grad, slope);
+  } else {
+    return grad * T(slope);
+  }
+}
+
+template <class T>
+T mul_elem(T a, T b) noexcept {
+  if constexpr (std::is_same_v<T, float>) {
+    return ordered_fmul(a, b);
+  } else {
+    return a * b;
+  }
+}
+
+// Fused segment reduce (edge_segment_reduce in train mode, T = half_t or
+// float): out[r] = the reduction of vals[offsets[r] .. offsets[r+1]) for
+// r < n_rows, exactly the kernel's per-row warp sequence —
+//   1. 32 lane accumulators start at -inf (max) or +0 (sum);
+//   2. every 32-edge batch, the last one partial, combines lane l with edge
+//      b + l (h_accum / f_accum: bit-preserving max select, or add);
+//   3. the full-warp butterfly (shfl_xor_h / shfl_xor_f at offsets 1..16,
+//      lane l the left operand) and lane 0 is the result;
+//   4. an empty row gives T{} (+0).
+template <class T>
+void seg_reduce(T* out, const T* vals, const std::int64_t* offsets,
+                int n_rows, bool is_max) {
+  for (int r = 0; r < n_rows; ++r) {
+    const std::int64_t lo = offsets[r];
+    const std::int64_t hi = offsets[r + 1];
+    Lanes<T> acc;
+    acc.fill(is_max ? edge_t<T>(-std::numeric_limits<float>::infinity())
+                    : T{});
+    for (std::int64_t b = lo; b < hi; b += kLanes) {
+      const int cnt = static_cast<int>(std::min<std::int64_t>(kLanes, hi - b));
+      if constexpr (std::is_same_v<T, half_t>) {
+        h_accum(acc.data(), vals + b, cnt, is_max);
+      } else {
+        f_accum(acc.data(), vals + b, 1.0f, cnt, is_max ? kIsMax : 0u);
+      }
+    }
+    for (int offset = 1; offset < kLanes; offset <<= 1) {
+      if constexpr (std::is_same_v<T, half_t>) {
+        shfl_xor_h(acc, offset, ~LaneMask{0}, is_max);
+      } else {
+        shfl_xor_f(acc, offset, ~LaneMask{0}, is_max);
+      }
+    }
+    out[r] = hi == lo ? T{} : acc[0];
+  }
+}
+
+// Fused edge-parallel runs: edge e < n of the CTA's contiguous range, with
+// rows/cols/idx the matching slice of the COO arrays (or permutation).
+template <class T>
+void add_leaky_run(T* out, const T* el, const T* er, const std::int32_t* rows,
+                   const std::int32_t* cols, int n, float slope) {
+  for (int e = 0; e < n; ++e) {
+    out[e] = add_leaky_elem(el[rows[e]], er[cols[e]], slope);
+  }
+}
+
+template <class T>
+void exp_sub_run(T* out, const T* vals, const T* rowv,
+                 const std::int32_t* rows, int n) {
+  for (int e = 0; e < n; ++e) out[e] = exp_sub_elem(vals[e], rowv[rows[e]]);
+}
+
+template <class T>
+void div_row_run(T* out, const T* vals, const T* rowv,
+                 const std::int32_t* rows, int n) {
+  for (int e = 0; e < n; ++e) out[e] = div_row_elem(vals[e], rowv[rows[e]]);
+}
+
+template <class T>
+void softmax_bwd_run(T* out, const T* alpha, const T* dalpha, const T* c,
+                     const std::int32_t* rows, int n) {
+  for (int e = 0; e < n; ++e) {
+    out[e] = softmax_bwd_elem(alpha[e], dalpha[e], c[rows[e]]);
+  }
+}
+
+template <class T>
+void leaky_bwd_run(T* out, const T* pre, const T* grad, int n, float slope) {
+  for (int e = 0; e < n; ++e) out[e] = leaky_bwd_elem(pre[e], grad[e], slope);
+}
+
+template <class T>
+void gather_run(T* out, const T* in, const std::int64_t* idx, int n) {
+  for (int e = 0; e < n; ++e) out[e] = in[idx[e]];
+}
+
+template <class T>
+void mul_run(T* out, const T* a, const T* b, int n) {
+  for (int e = 0; e < n; ++e) out[e] = mul_elem(a[e], b[e]);
+}
+
 }  // namespace scalar
+
+// The fused edge-op runs of one element type (half_t or float).
+template <class T>
+struct EdgeRuns {
+  void (*seg_reduce)(T*, const T*, const std::int64_t*, int, bool);
+  void (*add_leaky)(T*, const T*, const T*, const std::int32_t*,
+                    const std::int32_t*, int, float);
+  void (*exp_sub)(T*, const T*, const T*, const std::int32_t*, int);
+  void (*div_row)(T*, const T*, const T*, const std::int32_t*, int);
+  void (*softmax_bwd)(T*, const T*, const T*, const T*, const std::int32_t*,
+                      int);
+  void (*leaky_bwd)(T*, const T*, const T*, int, float);
+  void (*gather)(T*, const T*, const std::int64_t*, int);
+  void (*mul)(T*, const T*, const T*, int);
+};
+
+template <class T>
+constexpr EdgeRuns<T> scalar_edge_runs() noexcept {
+  return {&scalar::seg_reduce<T>,  &scalar::add_leaky_run<T>,
+          &scalar::exp_sub_run<T>, &scalar::div_row_run<T>,
+          &scalar::softmax_bwd_run<T>, &scalar::leaky_bwd_run<T>,
+          &scalar::gather_run<T>,  &scalar::mul_run<T>};
+}
+
+// half -> half exp over all 2^16 inputs: entry h is half(std::exp(float
+// image of h)), the f16 exp_sub_elem step after its rounded difference.
+// Built once on first use from the same std::exp, so a lookup equals the
+// computed value by construction (128 KB).
+const std::uint16_t* exp_half_table() noexcept;
 
 // ---------------------------------------------------------------------------
 // Dispatch table
@@ -351,6 +548,8 @@ struct SimdOps {
                       const std::int32_t*, const std::int32_t*, int, int);
   void (*f_sddmm_run)(float*, const float*, const float*,
                       const std::int32_t*, const std::int32_t*, int, int);
+  EdgeRuns<half_t> h_edge;
+  EdgeRuns<float> f_edge;
   accounting::AccessCounts (*access_counts)(const accounting::LaneIdx&,
                                             std::uint32_t, std::size_t, int);
 };
@@ -369,6 +568,16 @@ inline const SimdOps& ops() noexcept {
 // True when the vectorized path is active (gates the contiguity fast paths
 // in Warp so HALFGNN_SIMD=scalar runs the historical code verbatim).
 inline bool vector_enabled() noexcept { return ops().vector; }
+
+// The active path's fused edge-op runs for T (half_t or float).
+template <class T>
+const EdgeRuns<T>& edge_runs() noexcept {
+  if constexpr (std::is_same_v<T, half_t>) {
+    return ops().h_edge;
+  } else {
+    return ops().f_edge;
+  }
+}
 
 inline const char* path_name() noexcept { return ops().name; }
 inline Path active_path() noexcept {

@@ -35,7 +35,10 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <type_traits>
 
 #include "simt/simd.hpp"
 
@@ -848,6 +851,314 @@ void f_sddmm_run_avx2(float* out, const float* a, const float* b,
 }
 
 // ---------------------------------------------------------------------------
+// GAT edge-op runs
+// ---------------------------------------------------------------------------
+// Eight edges per step in float-image registers. A run's last partial step
+// and every gathered operand go through an 8-wide stack copy, so no access
+// leaves the run; 16-bit lanes round through vcvtps2ph wherever the scalar
+// element op constructs a half.
+
+// Up to 8 halves / floats from p (lanes >= valid read as +0).
+inline __m128i ld8h(const half_t* p, int valid) noexcept {
+  if (valid >= 8) return load8h(p);
+  alignas(16) half_t pad[8] = {};
+  std::memcpy(pad, p, static_cast<std::size_t>(valid) * sizeof(half_t));
+  return load8h(pad);
+}
+inline __m256 ld8f(const float* p, int valid) noexcept {
+  if (valid >= 8) return _mm256_loadu_ps(p);
+  alignas(32) float pad[8] = {};
+  std::memcpy(pad, p, static_cast<std::size_t>(valid) * sizeof(float));
+  return _mm256_load_ps(pad);
+}
+inline void st8h(half_t* p, __m128i h, int valid) noexcept {
+  if (valid >= 8) {
+    store8h(p, h);
+    return;
+  }
+  alignas(16) half_t pad[8];
+  store8h(pad, h);
+  std::memcpy(p, pad, static_cast<std::size_t>(valid) * sizeof(half_t));
+}
+inline void st8f(float* p, __m256 f, int valid) noexcept {
+  if (valid >= 8) {
+    _mm256_storeu_ps(p, f);
+    return;
+  }
+  alignas(32) float pad[8];
+  _mm256_store_ps(pad, f);
+  std::memcpy(p, pad, static_cast<std::size_t>(valid) * sizeof(float));
+}
+
+// Float images of T lanes; a store rounds them to T.
+template <class T>
+inline __m256 ld8(const T* p, int valid) noexcept {
+  if constexpr (std::is_same_v<T, half_t>) {
+    return cvt8(ld8h(p, valid));
+  } else {
+    return ld8f(p, valid);
+  }
+}
+template <class T>
+inline void st8(T* p, __m256 f, int valid) noexcept {
+  if constexpr (std::is_same_v<T, half_t>) {
+    st8h(p, cvt8b(f), valid);
+  } else {
+    st8f(p, f, valid);
+  }
+}
+template <class T>
+inline __m256 round8(__m256 f) noexcept {
+  if constexpr (std::is_same_v<T, half_t>) {
+    return round_h(f);
+  } else {
+    return f;
+  }
+}
+// base[idx[k]] for k < valid. Runs of COO rows repeat an index (CSR
+// order), so a block whose eight indices agree is one broadcast.
+template <class T>
+inline __m256 gather8(const T* base, const std::int32_t* idx,
+                      int valid) noexcept {
+  if (valid >= 8) {
+    const __m256i iv =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
+    const bool uniform = _mm256_movemask_epi8(_mm256_cmpeq_epi32(
+                             iv, _mm256_set1_epi32(idx[0]))) == -1;
+    if constexpr (std::is_same_v<T, half_t>) {
+      if (uniform) return bcast_h(base[idx[0]]);
+      return cvt8(_mm_setr_epi16(
+          static_cast<short>(base[idx[0]].bits()),
+          static_cast<short>(base[idx[1]].bits()),
+          static_cast<short>(base[idx[2]].bits()),
+          static_cast<short>(base[idx[3]].bits()),
+          static_cast<short>(base[idx[4]].bits()),
+          static_cast<short>(base[idx[5]].bits()),
+          static_cast<short>(base[idx[6]].bits()),
+          static_cast<short>(base[idx[7]].bits())));
+    } else {
+      if (uniform) return _mm256_set1_ps(base[idx[0]]);
+      return _mm256_i32gather_ps(base, iv, 4);
+    }
+  }
+  alignas(32) T v[8] = {};
+  for (int k = 0; k < valid; ++k) v[k] = base[idx[k]];
+  return ld8(v, 8);
+}
+
+// The `valid` (< 8) values ending at vals[end] in lanes [0, valid); the
+// other lanes are unspecified. When the array holds eight values before
+// `end` they are loaded in place and shifted down, else copied padded.
+template <class T>
+inline __m256 ld8_tail(const T* vals, std::int64_t end, int valid) noexcept {
+  if (end < 8) return ld8(vals + end - valid, valid);
+  const int shift = 8 - valid;
+  if constexpr (std::is_same_v<T, half_t>) {
+    const __m128i ctl =
+        _mm_add_epi8(_mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
+                                   13, 14, 15),
+                     _mm_set1_epi8(static_cast<char>(2 * shift)));
+    return cvt8(_mm_shuffle_epi8(load8h(vals + end - 8), ctl));
+  } else {
+    return _mm256_permutevar8x32_ps(
+        _mm256_loadu_ps(vals + end - 8),
+        _mm256_add_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                         _mm256_set1_epi32(shift)));
+  }
+}
+
+// Segment reduce, one row at a time with its 32 lane accumulators in four
+// registers. Max is (acc < v ? v : acc) == vmaxps(v, acc): a NaN operand
+// never wins, so no NaN ever reaches the accumulators and the float images
+// of half lanes stay exact. Sum is acc + v, rounded for half.
+//
+// A lane no edge reached still holds the start value, and combining with
+// it is the identity in either operand position: max never holds a NaN and
+// -inf loses every select, and a sum lane is never -0 (it starts at +0, and
+// x + y is -0 only for -0 + -0), so x + +0 and +0 + x are x, NaN payload
+// included. A row of cnt <= 32 edges therefore leaves registers
+// ceil(cnt / 8).. at the start value, and the butterfly rounds that would
+// fold them in are skipped; every remaining round is the one the warp runs.
+template <class T, bool kMax>
+inline __m256 seg_combine(__m256 acc, __m256 v) noexcept {
+  if constexpr (kMax) {
+    return _mm256_max_ps(v, acc);
+  } else {
+    return round8<T>(ordered_add(acc, v));
+  }
+}
+
+template <class T, bool kMax>
+void seg_reduce_rows(T* out, const T* vals, const std::int64_t* offsets,
+                     int n_rows) {
+  const __m256 init =
+      kMax ? _mm256_set1_ps(-std::numeric_limits<float>::infinity())
+           : _mm256_setzero_ps();
+  for (int r = 0; r < n_rows; ++r) {
+    const std::int64_t lo = offsets[r];
+    const std::int64_t hi = offsets[r + 1];
+    if (hi == lo) {
+      out[r] = T{};
+      continue;
+    }
+    __m256 acc[4] = {init, init, init, init};
+    std::int64_t b = lo;
+    for (; b + kLanes <= hi; b += kLanes) {
+      for (int g = 0; g < 4; ++g) {
+        acc[g] = seg_combine<T, kMax>(acc[g], ld8(vals + b + 8 * g, 8));
+      }
+    }
+    int touched = b > lo ? 4 : 0;  // registers holding more than the start
+    if (b < hi) {  // partial last batch: lanes >= cnt keep their value
+      const int cnt = static_cast<int>(hi - b);
+      for (int g = 0; 8 * g < cnt; ++g) {
+        const int valid = cnt - 8 * g;
+        const __m256 v = valid >= 8 ? ld8(vals + b + 8 * g, 8)
+                                    : ld8_tail(vals, hi, valid);
+        acc[g] = _mm256_blendv_ps(acc[g], seg_combine<T, kMax>(acc[g], v),
+                                  f_lane_mask(valid));
+      }
+      touched = std::max(touched, (cnt + 7) / 8);
+    }
+    // Butterfly at offsets 1, 2, 4 inside each register, then 8 and 16
+    // across registers; lane l is always the left operand.
+    for (int g = 0; g < touched; ++g) {
+      acc[g] = seg_combine<T, kMax>(acc[g], _mm256_permute_ps(acc[g], 0xB1));
+      acc[g] = seg_combine<T, kMax>(acc[g], _mm256_permute_ps(acc[g], 0x4E));
+      acc[g] = seg_combine<T, kMax>(
+          acc[g], _mm256_permute2f128_ps(acc[g], acc[g], 0x01));
+    }
+    if (touched > 1) acc[0] = seg_combine<T, kMax>(acc[0], acc[1]);
+    if (touched > 3) acc[2] = seg_combine<T, kMax>(acc[2], acc[3]);
+    if (touched > 2) acc[0] = seg_combine<T, kMax>(acc[0], acc[2]);
+    if constexpr (std::is_same_v<T, half_t>) {
+      out[r] = half_t::from_bits(
+          static_cast<std::uint16_t>(_mm_extract_epi16(cvt8b(acc[0]), 0)));
+    } else {
+      out[r] = _mm256_cvtss_f32(acc[0]);
+    }
+  }
+}
+
+template <class T>
+void seg_reduce_avx2(T* out, const T* vals, const std::int64_t* offsets,
+                     int n_rows, bool is_max) {
+  if (is_max) {
+    seg_reduce_rows<T, true>(out, vals, offsets, n_rows);
+  } else {
+    seg_reduce_rows<T, false>(out, vals, offsets, n_rows);
+  }
+}
+
+template <class T>
+void add_leaky_run_avx2(T* out, const T* el, const T* er,
+                        const std::int32_t* rows, const std::int32_t* cols,
+                        int n, float slope) {
+  const __m256 sv = _mm256_set1_ps(slope);
+  for (int i = 0; i < n; i += 8) {
+    const int valid = std::min(8, n - i);
+    const __m256 s = ordered_add(gather8(el, rows + i, valid),
+                                 gather8(er, cols + i, valid));
+    const __m256 pos = _mm256_cmp_ps(s, _mm256_setzero_ps(), _CMP_GT_OQ);
+    st8(out + i, _mm256_blendv_ps(ordered_mul(sv, s), s, pos), valid);
+  }
+}
+
+// f16: the rounded difference indexes the exp table; f32: std::exp per
+// lane, as the scalar op.
+template <class T>
+void exp_sub_run_avx2(T* out, const T* vals, const T* rowv,
+                      const std::int32_t* rows, int n) {
+  [[maybe_unused]] const std::uint16_t* table = nullptr;
+  if constexpr (std::is_same_v<T, half_t>) table = exp_half_table();
+  for (int i = 0; i < n; i += 8) {
+    const int valid = std::min(8, n - i);
+    const __m256 d =
+        _mm256_sub_ps(ld8(vals + i, valid), gather8(rowv, rows + i, valid));
+    if constexpr (std::is_same_v<T, half_t>) {
+      alignas(16) std::uint16_t db[8];
+      store8h(db, cvt8b(d));
+      for (int k = 0; k < valid; ++k) {
+        out[i + k] = half_t::from_bits(table[db[k]]);
+      }
+    } else {
+      alignas(32) float df[8];
+      _mm256_store_ps(df, d);
+      for (int k = 0; k < valid; ++k) out[i + k] = std::exp(df[k]);
+    }
+  }
+}
+
+// rv == 0 selects v itself (float lanes keep a signaling NaN's bits; a
+// half lane's image is already quiet, as its scalar rounding makes it).
+template <class T>
+void div_row_run_avx2(T* out, const T* vals, const T* rowv,
+                      const std::int32_t* rows, int n) {
+  for (int i = 0; i < n; i += 8) {
+    const int valid = std::min(8, n - i);
+    const __m256 rv = gather8(rowv, rows + i, valid);
+    const __m256 v = ld8(vals + i, valid);
+    const __m256 zero_rv = _mm256_cmp_ps(rv, _mm256_setzero_ps(), _CMP_EQ_OQ);
+    st8(out + i, _mm256_blendv_ps(_mm256_div_ps(v, rv), v, zero_rv), valid);
+  }
+}
+
+template <class T>
+void softmax_bwd_run_avx2(T* out, const T* alpha, const T* dalpha,
+                          const T* c, const std::int32_t* rows, int n) {
+  for (int i = 0; i < n; i += 8) {
+    const int valid = std::min(8, n - i);
+    const __m256 diff = round8<T>(
+        _mm256_sub_ps(ld8(dalpha + i, valid), gather8(c, rows + i, valid)));
+    const __m256 a = ld8(alpha + i, valid);
+    st8(out + i,
+        std::is_same_v<T, half_t> ? ordered_mul(a, diff) : ordered_mul(diff, a),
+        valid);
+  }
+}
+
+// The positive branch passes grad's stored bits through (a signaling NaN
+// included), so the select runs on the T lanes themselves.
+template <class T>
+void leaky_bwd_run_avx2(T* out, const T* pre, const T* grad, int n,
+                        float slope) {
+  for (int i = 0; i < n; i += 8) {
+    const int valid = std::min(8, n - i);
+    const __m256 pos = _mm256_cmp_ps(ld8(pre + i, valid), _mm256_setzero_ps(),
+                                     _CMP_GT_OQ);
+    if constexpr (std::is_same_v<T, half_t>) {
+      const __m128i gh = ld8h(grad + i, valid);
+      const __m128i neg = cvt8b(ordered_mul(cvt8(gh), bcast_h(half_t(slope))));
+      st8h(out + i,
+           _mm_blendv_epi8(neg, gh, narrow_mask(_mm256_castps_si256(pos))),
+           valid);
+    } else {
+      const __m256 g = ld8f(grad + i, valid);
+      st8f(out + i,
+           _mm256_blendv_ps(ordered_mul(g, _mm256_set1_ps(slope)), g, pos),
+           valid);
+    }
+  }
+}
+
+template <class T>
+void mul_run_avx2(T* out, const T* a, const T* b, int n) {
+  for (int i = 0; i < n; i += 8) {
+    const int valid = std::min(8, n - i);
+    st8(out + i, ordered_mul(ld8(a + i, valid), ld8(b + i, valid)), valid);
+  }
+}
+
+// A gather has no lane arithmetic: the scalar loop serves both paths.
+template <class T>
+constexpr EdgeRuns<T> avx2_edge_runs() noexcept {
+  return {&seg_reduce_avx2<T>,      &add_leaky_run_avx2<T>,
+          &exp_sub_run_avx2<T>,     &div_row_run_avx2<T>,
+          &softmax_bwd_run_avx2<T>, &leaky_bwd_run_avx2<T>,
+          &scalar::gather_run<T>,   &mul_run_avx2<T>};
+}
+
+// ---------------------------------------------------------------------------
 // Vectorized sector/element dedup
 // ---------------------------------------------------------------------------
 
@@ -935,6 +1246,8 @@ constexpr SimdOps kAvx2Ops = {
     &h2_sddmm_run_avx2,
     &h_sddmm_run_avx2,
     &f_sddmm_run_avx2,
+    avx2_edge_runs<half_t>(),
+    avx2_edge_runs<float>(),
     &access_counts_avx2,
 };
 

@@ -324,12 +324,6 @@ TEST(KernelTable, LaunchedNamesMatchLaunches) {
     for (auto& v : t.f()) v = rng.next_float() * 2 - 1;
     return to_dtype(t, dt, nullptr);
   };
-  // Names a kernel entry point launches only under options no row selects
-  // (SDDMM vector widths below half8, the halfgnn SpMM's post-reduction
-  // scale). The rows list them so hgcheck predicts them for direct callers.
-  const std::set<std::string> never_dispatched{
-      "sddmm_halfgnn_h2", "sddmm_halfgnn_h4", "spmm_halfgnn_postscale"};
-
   // Every row sits on some ladder.
   std::set<const KernelDesc*> on_a_ladder;
   for (const SparseOp op : kSparseOps) {
@@ -406,11 +400,7 @@ TEST(KernelTable, LaunchedNamesMatchLaunches) {
     obs::registry().reset();
 
     std::set<std::string> listed;
-    for (const std::string_view name : row.launched()) {
-      if (never_dispatched.count(std::string(name)) == 0) {
-        listed.emplace(name);
-      }
-    }
+    for (const std::string_view name : row.launched()) listed.emplace(name);
     EXPECT_EQ(launched, listed)
         << row.label << " (" << op_name(row.op) << ", "
         << (row.promote ? "AMP-promoted" : "native") << ")";

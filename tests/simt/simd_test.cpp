@@ -14,13 +14,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <random>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
 #include "kernels/edge_ops.hpp"
@@ -489,6 +493,231 @@ TEST_F(SimdAvx2, DglSddmmRunMatchesScalarAndUnfusedSequence) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// GAT edge-op runs (simd::EdgeRuns) against their scalar references
+// ---------------------------------------------------------------------------
+
+// f32 counterpart of sddmm_operand: specials (+-Inf, NaN payloads, +-0,
+// denormals, random bits), moderate values, large values whose products
+// overflow, and denormals whose products underflow to -0 (second operand
+// negated).
+float f32_operand(std::mt19937& rng, int kind, bool second) {
+  switch (kind % 4) {
+    case 0:
+      switch (rng() % 5) {
+        case 0:
+          return (rng() & 1u) != 0 ? INFINITY : -INFINITY;
+        case 1:  // quiet or signaling NaN, random payload and sign
+          return std::bit_cast<float>(
+              static_cast<std::uint32_t>(0x7F800001u | (rng() & 0x807FFFFFu)));
+        case 2:
+          return (rng() & 1u) != 0 ? 0.0f : -0.0f;
+        case 3:
+          return std::bit_cast<float>(
+              static_cast<std::uint32_t>(rng() & 0x807FFFFFu));
+        default:
+          return random_float(rng);
+      }
+    case 1:
+      return (static_cast<float>(rng() % 4000u) - 2000.0f) / 256.0f;
+    case 2: {
+      const float mag = 1e30f * (1.0f + static_cast<float>(rng() % 1000u));
+      return (rng() & 1u) != 0 ? mag : -mag;
+    }
+    default: {
+      const float v = std::bit_cast<float>(
+          static_cast<std::uint32_t>(1u + rng() % 0x7FFFFFu));
+      return second ? -v : v;
+    }
+  }
+}
+
+template <class T>
+T edge_operand(std::mt19937& rng, int kind, bool second) {
+  if constexpr (std::is_same_v<T, half_t>) {
+    return sddmm_operand(rng, kind, second);
+  } else {
+    return f32_operand(rng, kind, second);
+  }
+}
+
+template <class T>
+void expect_t_eq(const T* a, const T* b, int n, const char* what, int trial) {
+  if constexpr (std::is_same_v<T, half_t>) {
+    expect_h_eq(a, b, n, what, trial);
+  } else {
+    expect_f_eq(a, b, n, what, trial);
+  }
+}
+
+// Run and row lengths 0..67 plus one long one (> 4000, not a multiple of 32).
+constexpr int kRunLens[] = {0,  1,  2,  3,  5,  7,  8,  9,  15, 16,  17,
+                            23, 31, 32, 33, 47, 63, 64, 65, 66, 67, 4001};
+
+// One edge-run trial: a run of n edges starting `off` elements into every
+// edge array (misaligned slices), rows/cols into kRows-entry row arrays,
+// and a permutation into the edge array a.
+template <class T>
+struct EdgeRunCase {
+  static constexpr int kRows = 23;
+  int n = 0;
+  int off = 0;
+  float slope = 0.2f;
+  std::vector<T> a, b, rv, rv2;
+  std::vector<std::int32_t> rows, cols;
+  std::vector<std::int64_t> perm;
+
+  EdgeRunCase(std::mt19937& rng, int n_edges, int kind, int trial)
+      : n(n_edges), off(trial % 2) {
+    constexpr float kSlopes[] = {0.2f, 0.01f, 1.5f, -0.3f};
+    slope = kSlopes[static_cast<std::size_t>(trial) % std::size(kSlopes)];
+    const auto len = static_cast<std::size_t>(n + off);
+    a.resize(len);
+    b.resize(len);
+    for (auto& v : a) v = edge_operand<T>(rng, kind, false);
+    for (auto& v : b) v = edge_operand<T>(rng, kind, true);
+    rv.resize(kRows);
+    rv2.resize(kRows);
+    for (auto& v : rv) v = edge_operand<T>(rng, kind, true);
+    for (auto& v : rv2) v = edge_operand<T>(rng, kind, false);
+    rows.resize(len);
+    cols.resize(len);
+    perm.resize(len);
+    for (auto& r : rows) r = static_cast<std::int32_t>(rng() % kRows);
+    for (auto& c : cols) c = static_cast<std::int32_t>(rng() % kRows);
+    for (auto& p : perm) p = static_cast<std::int64_t>(rng() % len);
+  }
+  const T* ea() const { return a.data() + off; }
+  const T* eb() const { return b.data() + off; }
+  const std::int32_t* er() const { return rows.data() + off; }
+  const std::int32_t* ec() const { return cols.data() + off; }
+};
+
+// `call(runs, out, c)` through the scalar reference and the active (avx2)
+// table, over every run length and operand class, in f16 and f32.
+template <class T, class Call>
+void check_edge_run(const char* what, std::uint32_t seed, Call call) {
+  std::mt19937 rng(seed);
+  int trial = 0;
+  for (const int n : kRunLens) {
+    for (int kind = 0; kind < 8; ++kind, ++trial) {
+      const EdgeRunCase<T> c(rng, n, kind, trial);
+      std::vector<T> ref(static_cast<std::size_t>(n + c.off));
+      std::vector<T> got(ref.size());
+      call(simd::scalar_edge_runs<T>(), ref.data() + c.off, c);
+      call(simd::edge_runs<T>(), got.data() + c.off, c);
+      expect_t_eq(ref.data() + c.off, got.data() + c.off, n, what, trial);
+    }
+  }
+}
+
+template <class Call>
+void check_edge_run_both(const char* what, std::uint32_t seed, Call call) {
+  {
+    SCOPED_TRACE("f16");
+    check_edge_run<half_t>(what, seed, call);
+  }
+  SCOPED_TRACE("f32");
+  check_edge_run<float>(what, seed + 1, call);
+}
+
+// Segment reduce over 24 rows of lengths 0..67 (one row > 4000 edges), in
+// both reductions, every operand class; offsets start past 0 like a CTA's
+// slice of the CSR offsets.
+template <class T>
+void check_seg_reduce(std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  constexpr int kRowsPerTrial = 24;
+  for (int trial = 0; trial < 96; ++trial) {
+    const int kind = trial % 8;
+    const bool is_max = (trial & 8) != 0;
+    std::vector<std::int64_t> offsets{static_cast<std::int64_t>(trial % 5)};
+    for (int r = 0; r < kRowsPerTrial; ++r) {
+      const int len = r == trial % kRowsPerTrial
+                          ? kRunLens[std::size(kRunLens) - 1]
+                          : kRunLens[(r * 7 + trial) %
+                                     (std::size(kRunLens) - 1)];
+      offsets.push_back(offsets.back() + len);
+    }
+    std::vector<T> vals(static_cast<std::size_t>(offsets.back()));
+    for (auto& v : vals) v = edge_operand<T>(rng, kind, (trial & 16) != 0);
+    std::vector<T> ref(kRowsPerTrial), got(kRowsPerTrial);
+    simd::scalar::seg_reduce(ref.data(), vals.data(), offsets.data(),
+                             kRowsPerTrial, is_max);
+    simd::edge_runs<T>().seg_reduce(got.data(), vals.data(), offsets.data(),
+                                    kRowsPerTrial, is_max);
+    expect_t_eq(ref.data(), got.data(), kRowsPerTrial,
+                is_max ? "seg_reduce max" : "seg_reduce sum", trial);
+  }
+}
+
+TEST_F(SimdAvx2, EdgeSegReduceMatchesScalar) {
+  {
+    SCOPED_TRACE("f16");
+    check_seg_reduce<half_t>(0x5E6u);
+  }
+  SCOPED_TRACE("f32");
+  check_seg_reduce<float>(0x5E7u);
+}
+
+TEST_F(SimdAvx2, EdgeAddLeakyRunMatchesScalar) {
+  check_edge_run_both("add_leaky", 0xADDu,
+                      [](const auto& runs, auto* out, const auto& c) {
+                        runs.add_leaky(out, c.rv.data(), c.rv2.data(), c.er(),
+                                       c.ec(), c.n, c.slope);
+                      });
+}
+
+TEST_F(SimdAvx2, EdgeExpSubRunMatchesScalar) {
+  check_edge_run_both("exp_sub", 0xE4Bu,
+                      [](const auto& runs, auto* out, const auto& c) {
+                        runs.exp_sub(out, c.ea(), c.rv.data(), c.er(), c.n);
+                      });
+  // The f16 run reads exp from the table: every entry is the computed value.
+  const std::uint16_t* table = simd::exp_half_table();
+  for (std::uint32_t h = 0; h < 0x10000u; ++h) {
+    const half_t x = half_t::from_bits(static_cast<std::uint16_t>(h));
+    ASSERT_EQ(table[h], half_t(std::exp(x.to_float())).bits()) << h;
+  }
+}
+
+TEST_F(SimdAvx2, EdgeDivRowRunMatchesScalar) {
+  check_edge_run_both("div_row", 0xD1Bu,
+                      [](const auto& runs, auto* out, const auto& c) {
+                        runs.div_row(out, c.ea(), c.rv.data(), c.er(), c.n);
+                      });
+}
+
+TEST_F(SimdAvx2, EdgeSoftmaxBwdRunMatchesScalar) {
+  check_edge_run_both("softmax_bwd", 0x50Bu,
+                      [](const auto& runs, auto* out, const auto& c) {
+                        runs.softmax_bwd(out, c.ea(), c.eb(), c.rv.data(),
+                                         c.er(), c.n);
+                      });
+}
+
+TEST_F(SimdAvx2, EdgeLeakyBwdRunMatchesScalar) {
+  check_edge_run_both("leaky_bwd", 0x1EBu,
+                      [](const auto& runs, auto* out, const auto& c) {
+                        runs.leaky_bwd(out, c.ea(), c.eb(), c.n, c.slope);
+                      });
+}
+
+TEST_F(SimdAvx2, EdgeGatherRunMatchesScalar) {
+  check_edge_run_both("gather", 0x6A7u,
+                      [](const auto& runs, auto* out, const auto& c) {
+                        runs.gather(out, c.a.data(), c.perm.data() + c.off,
+                                    c.n);
+                      });
+}
+
+TEST_F(SimdAvx2, EdgeMulRunMatchesScalar) {
+  check_edge_run_both("mul", 0x3A1u,
+                      [](const auto& runs, auto* out, const auto& c) {
+                        runs.mul(out, c.ea(), c.eb(), c.n);
+                      });
+}
+
 TEST_F(SimdAvx2, MaskedFmaAndDotMatchScalar) {
   std::mt19937 rng(0xD07u);
   for (int trial = 0; trial < 600; ++trial) {
@@ -805,6 +1034,115 @@ TEST_F(SimdAvx2, SddmmHalfgnnIdenticalAcrossPaths) {
           return ks;
         });
   }
+}
+
+// Kernel operands: mostly moderate values, one in 16 special-biased bits
+// (NaN payloads, +-Inf, +-0, subnormals); zeros exercise div_row's rv == 0.
+template <class T>
+T kernel_operand(std::mt19937& rng) {
+  if (rng() % 16 == 0) return edge_operand<T>(rng, 0, false);
+  return T((static_cast<float>(rng() % 4000u) - 2000.0f) / 512.0f);
+}
+
+// Every GAT edge op in element type T on one graph: vector-fused train vs
+// forced-scalar train vs profiled (both paths), outputs byte-identical and
+// profiled KernelStats equal.
+template <class T>
+void expect_edge_ops_identical(const Csr& csr, const Coo& coo,
+                               const std::string& graph) {
+  const auto g = kernels::view(csr, coo);
+  const auto n = static_cast<std::size_t>(csr.num_vertices);
+  const auto m = static_cast<std::size_t>(csr.num_edges());
+  std::mt19937 rng(0xED6Eu);
+  const auto operands = [&](std::size_t k) {
+    AlignedVec<T> v(k);
+    for (auto& x : v) x = kernel_operand<T>(rng);
+    return v;
+  };
+  const AlignedVec<T> e1 = operands(m), e2 = operands(m);
+  const AlignedVec<T> r1 = operands(n), r2 = operands(n);
+  std::vector<eid_t> perm(m);
+  std::iota(perm.begin(), perm.end(), eid_t{0});
+  std::shuffle(perm.begin(), perm.end(), rng);
+
+  Device dev(a100_spec());
+  Stream stream(dev);
+  const std::string tag =
+      graph + (std::is_same_v<T, half_t> ? " f16 " : " f32 ");
+  const auto check = [&](const char* op, std::size_t out_size, auto launch) {
+    run_both_paths_and_compare(
+        (tag + op).c_str(),
+        [&](bool profiled, std::vector<std::uint16_t>& out_bits) {
+          AlignedVec<T> out(out_size);
+          const auto ks = launch(profiled, std::span<T>(out));
+          out_bits = bits_of(std::span<const T>(out));
+          return ks;
+        });
+  };
+  using kernels::SegReduce;
+  check("seg max", n, [&](bool p, std::span<T> out) {
+    return kernels::edge_segment_reduce<T>(stream, p, g, e1, out,
+                                           SegReduce::kMax);
+  });
+  check("seg sum", n, [&](bool p, std::span<T> out) {
+    return kernels::edge_segment_reduce<T>(stream, p, g, e1, out,
+                                           SegReduce::kSum);
+  });
+  check("add_scalars", m, [&](bool p, std::span<T> out) {
+    return kernels::edge_add_scalars<T>(stream, p, g, r1, r2, out, 0.2f);
+  });
+  check("exp_sub_row", m, [&](bool p, std::span<T> out) {
+    return kernels::edge_exp_sub_row<T>(stream, p, g, e1, r1, out);
+  });
+  check("div_row", m, [&](bool p, std::span<T> out) {
+    return kernels::edge_div_row<T>(stream, p, g, e1, r1, out);
+  });
+  check("softmax_backward", m, [&](bool p, std::span<T> out) {
+    return kernels::edge_softmax_backward<T>(stream, p, g, e1, e2, r1, out);
+  });
+  check("leaky_backward", m, [&](bool p, std::span<T> out) {
+    return kernels::edge_leaky_backward<T>(stream, p, e1, e2, out, 0.2f);
+  });
+  check("permute", m, [&](bool p, std::span<T> out) {
+    return kernels::edge_permute<T>(stream, p, e1, perm, out);
+  });
+  check("mul", m, [&](bool p, std::span<T> out) {
+    return kernels::edge_mul<T>(stream, p, e1, e2, out);
+  });
+}
+
+// Every third vertex has no edges; vertex 1 is a hub of > 4000 edges whose
+// length is not a multiple of 32.
+Csr empty_rows_graph() {
+  std::mt19937 rng(0xE3u);
+  constexpr vid_t kN = 5000;
+  Coo raw;
+  raw.num_vertices = kN;
+  const auto edge = [&](vid_t r, vid_t c) {
+    raw.row.push_back(r);
+    raw.col.push_back(c);
+  };
+  for (vid_t v = 1; v < kN; ++v) {
+    if (v % 3 == 0) continue;
+    const auto deg = static_cast<int>(rng() % 40u);
+    for (int k = 0; k < deg; ++k) edge(v, static_cast<vid_t>(rng() % kN));
+  }
+  for (vid_t c = 0; c < 4099; ++c) edge(1, c);
+  return coo_to_csr(raw);
+}
+
+TEST_F(SimdAvx2, EdgeOpsIdenticalAcrossPaths) {
+  const Dataset d = make_dataset(DatasetId::kReddit);
+  expect_edge_ops_identical<half_t>(d.csr, d.coo, "reddit-sim");
+  expect_edge_ops_identical<float>(d.csr, d.coo, "reddit-sim");
+
+  const Csr csr = empty_rows_graph();
+  const Coo coo = csr_to_coo(csr);
+  ASSERT_EQ(csr.degree(0), 0);
+  ASSERT_GT(csr.degree(1), 4000);
+  ASSERT_NE(csr.degree(1) % 32, 0);
+  expect_edge_ops_identical<half_t>(csr, coo, "empty-rows");
+  expect_edge_ops_identical<float>(csr, coo, "empty-rows");
 }
 
 TEST_F(SimdAvx2, EdgeSoftmaxIdenticalAcrossPaths) {
