@@ -95,7 +95,12 @@ inline AlignedVec<float> to_f32(std::span<const half_t> h) {
 }
 
 inline std::string short_name(const Dataset& d) {
-  return "G" + std::to_string(static_cast<int>(d.id)) + ":" + d.name;
+  // Appended piecewise: GCC 12's -Wrestrict misfires on `"G" + ...` chains.
+  std::string s = "G";
+  s += std::to_string(static_cast<int>(d.id));
+  s += ':';
+  s += d.name;
+  return s;
 }
 
 // ---------------------------------------------------------------------------

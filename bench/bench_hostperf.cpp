@@ -15,7 +15,9 @@
 // The dense host path is benched the same way: the 12 gemms of one GIN /
 // reddit-sim training step (f16 operands, 40% zero activations), grouped
 // by role, on the same device's pool, plus the whole mix on a one-thread
-// pool with each gemm core for the same-run gemm_simd_ratio.
+// pool with each gemm core for the same-run gemm_simd_ratio. The loss path
+// (softmax_xent, a same-dtype to_dtype copy) gets report-only rows on the
+// device's pool and on a one-thread pool.
 //
 // Usage: bench_hostperf [output.json]  (default: BENCH_hostperf.json in cwd)
 #include <algorithm>
@@ -324,6 +326,49 @@ int run(const std::string& path) {
     t.report().summary("gemm_simd_ratio", scalar_1t.first > 0
                                               ? mix_1t.first / scalar_1t.first
                                               : kNaN);
+  }
+
+  // Loss-path rows (report-only, ungated): one GIN / reddit-sim step's
+  // softmax_xent (6000 x 48 f16 logits, 41 valid classes, the train mask)
+  // and a same-dtype to_dtype copy of a 6000 x 128 f16 activation, each on
+  // the device's pool and on a one-thread pool.
+  {
+    const Dataset rd = make_dataset(DatasetId::kReddit);
+    const std::int64_t rows = rd.num_vertices();
+    Rng rng(12);
+    MTensor logits = MTensor::f16(rows, 48);
+    for (auto& v : logits.h()) v = half_t(rng.next_float() * 8 - 4);
+    MTensor act = MTensor::f16(rows, 128);
+    for (auto& v : act.h()) v = half_t(rng.next_float() * 2 - 1);
+    MTensor dlogits;
+    const auto best_ms = [&](simt::Device& pool,
+                             const std::function<void()>& fn) {
+      const DensePoolScope scope(pool);
+      double best = std::numeric_limits<double>::infinity();
+      for (int r = 0; r < 5 * reps; ++r) {
+        const auto t0 = std::chrono::steady_clock::now();
+        fn();
+        best = std::min(best, std::chrono::duration<double, std::milli>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count());
+      }
+      return best;
+    };
+    simt::Device one(simt::a100_spec(), 1);
+    for (const auto& [suffix, pool] :
+         {std::pair<std::string, simt::Device*>{"", &dev}, {"_1t", &one}}) {
+      const double loss_ms = best_ms(*pool, [&] {
+        softmax_xent(logits, rd.labels, rd.train_mask, true, rd.num_classes,
+                     1024.0f, &dlogits, nullptr);
+      });
+      t.row("softmax_xent_f16" + suffix + " train",
+            {loss_ms, kNaN, kNaN, kNaN});
+      const double copy_ms = best_ms(*pool, [&] {
+        const MTensor copy = to_dtype(act, Dtype::kF16, nullptr);
+      });
+      t.row("to_dtype_copy_f16" + suffix + " train",
+            {copy_ms, kNaN, kNaN, kNaN});
+    }
   }
 
   // Forced-scalar reference rows for the fused train-mode kernels: every

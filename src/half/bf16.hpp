@@ -15,6 +15,8 @@
 #include <bit>
 #include <cstdint>
 
+#include "half/half.hpp"
+
 namespace hg {
 
 // Round-to-nearest-even truncation of a float to its top 16 bits.
@@ -49,14 +51,16 @@ class bf16_t {
   bool is_nan() const noexcept { return (bits_ & 0x7FFFu) > 0x7F80u; }
   bool is_finite() const noexcept { return (bits_ & 0x7F80u) != 0x7F80u; }
 
+  // + and * pin the left operand's NaN payload (ordered_fadd/ordered_fmul,
+  // DESIGN.md §13), like half_t.
   friend bf16_t operator+(bf16_t a, bf16_t b) noexcept {
-    return bf16_t(a.to_float() + b.to_float());
+    return bf16_t(ordered_fadd(a.to_float(), b.to_float()));
   }
   friend bf16_t operator-(bf16_t a, bf16_t b) noexcept {
     return bf16_t(a.to_float() - b.to_float());
   }
   friend bf16_t operator*(bf16_t a, bf16_t b) noexcept {
-    return bf16_t(a.to_float() * b.to_float());
+    return bf16_t(ordered_fmul(a.to_float(), b.to_float()));
   }
   friend bf16_t operator/(bf16_t a, bf16_t b) noexcept {
     return bf16_t(a.to_float() / b.to_float());

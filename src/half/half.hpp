@@ -169,6 +169,21 @@ inline float ordered_fmul(float a, float b) noexcept {
 #endif
 }
 
+// The same pin for double adds (the float-promoted loss path).
+inline double ordered_dadd(double a, double b) noexcept {
+#if defined(__AVX__)
+  // NOLINTNEXTLINE(cppcoreguidelines-init-variables): asm output-only operand
+  double r;
+  asm("vaddsd %2, %1, %0" : "=x"(r) : "x"(a), "x"(b));
+  return r;
+#elif defined(__SSE2__) || defined(__x86_64__)
+  asm("addsd %1, %0" : "+x"(a) : "x"(b));
+  return a;
+#else
+  return a + b;
+#endif
+}
+
 // ---------------------------------------------------------------------------
 // half_t
 // ---------------------------------------------------------------------------

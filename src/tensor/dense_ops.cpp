@@ -1,8 +1,10 @@
 #include "tensor/dense_ops.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <type_traits>
@@ -54,10 +56,15 @@ void for_blocks(std::int64_t n, std::int64_t block, const RangeFn& fn) {
   });
 }
 
+// Rows per block for a `cols`-wide tensor: about kElemsPerJob elements.
+std::int64_t row_block(std::int64_t cols) {
+  return std::max<std::int64_t>(1,
+                                kElemsPerJob / std::max<std::int64_t>(1, cols));
+}
+
 // fn(first_row, end_row) over row blocks of about kElemsPerJob elements.
 void for_row_blocks(const MTensor& x, const RangeFn& fn) {
-  const std::int64_t cols = std::max<std::int64_t>(1, x.cols());
-  for_blocks(x.rows(), std::max<std::int64_t>(1, kElemsPerJob / cols), fn);
+  for_blocks(x.rows(), row_block(x.cols()), fn);
 }
 
 inline float to_f(float v) { return v; }
@@ -212,22 +219,39 @@ DensePoolScope::DensePoolScope(simt::Device& dev) noexcept
 
 DensePoolScope::~DensePoolScope() { t_pool_device = prev_; }
 
+namespace {
+
+// dst[i] = src[i] converted through float, with MTensor::get/set's
+// rounding. The f16<->f32 pairs use the active SIMD path's conversion
+// batches: cvt_h2f keeps a signaling NaN as the half table does, and
+// cvt_f2h is float_to_half_bits on every input.
+template <class S, class D>
+void convert(const S* src, D* dst, std::int64_t n) {
+  if constexpr (std::is_same_v<S, half_t> && std::is_same_v<D, float>) {
+    simt::simd::ops().cvt_h2f(reinterpret_cast<const std::uint16_t*>(src),
+                              dst, static_cast<int>(n));
+  } else if constexpr (std::is_same_v<S, float> &&
+                       std::is_same_v<D, half_t>) {
+    simt::simd::ops().cvt_f2h(src, reinterpret_cast<std::uint16_t*>(dst),
+                              static_cast<int>(n));
+  } else {
+    for (std::int64_t i = 0; i < n; ++i) dst[i] = from_f<D>(to_f(src[i]));
+  }
+}
+
+}  // namespace
+
 MTensor to_dtype(const MTensor& in, Dtype dt, CostLedger* ledger) {
+  if (in.dtype() == dt) return in;  // same-dtype copy: no conversion charged
   MTensor out = MTensor::zeros(dt, in.rows(), in.cols());
-  if (in.dtype() == dt) {
-    visit(out, [&in](auto* o) {
-      const auto src = in.as<std::remove_pointer_t<decltype(o)>>();
-      std::copy(src.begin(), src.end(), o);
+  const std::int64_t cols = in.cols();
+  visit(in, [&](const auto* src) {
+    visit(out, [&](auto* dst) {
+      for_row_blocks(in, [&](std::int64_t r0, std::int64_t r1) {
+        convert(src + r0 * cols, dst + r0 * cols, (r1 - r0) * cols);
+      });
     });
-    return out;  // same-dtype copy: no conversion charged
-  }
-  // Cross-dtype: every pair goes through float (exact for f16->f32 and
-  // bf16->f32; stores round once, matching a single device cvt).
-  for (std::int64_t r = 0; r < in.rows(); ++r) {
-    for (std::int64_t c = 0; c < in.cols(); ++c) {
-      out.set(r, c, in.get(r, c));
-    }
-  }
+  });
   if (ledger != nullptr) ledger->add_conversion(in.bytes());
   return out;
 }
@@ -361,11 +385,25 @@ void colsum(const MTensor& x, MTensor& out, CostLedger* ledger) {
     throw std::invalid_argument("colsum: out must be f32 1 x C");
   }
   out.fill(0.0f);
-  for (std::int64_t r = 0; r < x.rows(); ++r) {
-    for (std::int64_t c = 0; c < x.cols(); ++c) {
-      out.set(0, c, out.get(0, c) + x.get(r, c));
-    }
-  }
+  // Column strips (multiples of 8 columns, about two per pool thread), so
+  // each column still accumulates over the rows in order.
+  const std::int64_t rows = x.rows(), cols = x.cols();
+  const std::int64_t jobs = std::clamp<std::int64_t>(
+      ceil_div(rows * cols, kElemsPerJob), 1,
+      2 * static_cast<std::int64_t>(pool_device().threads()));
+  const std::int64_t strip =
+      std::max<std::int64_t>(8, ceil_div(ceil_div(cols, jobs), 8) * 8);
+  float* acc = out.f().data();
+  visit(x, [&](const auto* p) {
+    for_blocks(cols, strip, [&](std::int64_t c0, std::int64_t c1) {
+      for (std::int64_t r = 0; r < rows; ++r) {
+        const auto* row = p + r * cols;
+        for (std::int64_t c = c0; c < c1; ++c) {
+          acc[c] = ordered_fadd(acc[c], to_f(row[c]));
+        }
+      }
+    });
+  });
   if (ledger != nullptr) ledger->add_elementwise(x.bytes());
 }
 
@@ -413,54 +451,78 @@ LossResult softmax_xent(const MTensor& logits, std::span<const int> labels,
     if (dlogits != nullptr) ledger->add_conversion(logits.bytes());  // back
   }
 
+  // Loss rows are counted first, so each job can fold in the mean's 1/count.
   LossResult res;
-  double loss_sum = 0;
+  std::vector<std::uint8_t> in_loss(static_cast<std::size_t>(n));
+  for (std::int64_t r = 0; r < n; ++r) {
+    in_loss[static_cast<std::size_t>(r)] =
+        !use_masked || mask[static_cast<std::size_t>(r)] != 0;
+    res.count += in_loss[static_cast<std::size_t>(r)];
+  }
+  const float inv =
+      res.count > 0 ? static_cast<float>(1.0 / res.count) : 0.0f;
   if (dlogits != nullptr) {
     *dlogits = MTensor::zeros(logits.dtype(), n, c);
   }
+  // Per row: log p(label) and whether the argmax is the label. Per row
+  // block: a buffer for one row's exps.
+  std::vector<double> logp(static_cast<std::size_t>(n));
+  std::vector<std::uint8_t> hit(static_cast<std::size_t>(n));
+  const std::int64_t block = row_block(c);
+  const std::int64_t width = std::max(valid_classes, 0);
+  std::vector<double> exps(
+      static_cast<std::size_t>(ceil_div(n, block) * width));
+  visit(logits, [&](const auto* lp) {
+    using T = std::remove_const_t<std::remove_pointer_t<decltype(lp)>>;
+    T* dp = dlogits != nullptr ? dlogits->as<T>().data() : nullptr;
+    for_blocks(n, block, [&](std::int64_t r0, std::int64_t r1) {
+      double* e = exps.data() + r0 / block * width;
+      for (std::int64_t r = r0; r < r1; ++r) {
+        const auto ri = static_cast<std::size_t>(r);
+        if (in_loss[ri] == 0) continue;
+        const T* row = lp + r * c;
+        // Stable log-softmax in float over the valid columns; each exp is
+        // computed once and serves both the sum and the gradient.
+        float mx = -std::numeric_limits<float>::infinity();
+        for (int j = 0; j < valid_classes; ++j) {
+          mx = std::max(mx, to_f(row[j]));
+        }
+        double denom = 0;
+        for (int j = 0; j < valid_classes; ++j) {
+          e[j] = std::exp(static_cast<double>(to_f(row[j])) - mx);
+          denom = ordered_dadd(e[j], denom);  // NaN rule: the new term wins
+        }
+        const int y = labels[ri];
+        logp[ri] = static_cast<double>(to_f(row[y])) - mx - std::log(denom);
+
+        int argmax = 0;
+        for (int j = 1; j < valid_classes; ++j) {
+          if (to_f(row[j]) > to_f(row[argmax])) argmax = j;
+        }
+        hit[ri] = argmax == y;
+
+        if (dp == nullptr) continue;
+        T* drow = dp + r * c;
+        for (int j = 0; j < valid_classes; ++j) {
+          const double p = e[j] / denom;
+          const double g = p - (j == y ? 1.0 : 0.0);
+          // Two roundings, as a separate mean pass would give: the scaled
+          // gradient in the dlogits dtype, then its product with 1/count.
+          T v = from_f<T>(static_cast<float>(g * grad_scale));
+          if (res.count > 0 && to_f(v) != 0.0f) v = from_f<T>(to_f(v) * inv);
+          drow[j] = v;
+        }
+      }
+    });
+  });
+  // The loss sums in row order, whatever the pool. It subtracts log p, as
+  // the old `loss += -logp` compiled, so a NaN keeps its sign.
+  double loss_sum = 0;
   for (std::int64_t r = 0; r < n; ++r) {
-    const bool in_loss =
-        !use_masked || mask[static_cast<std::size_t>(r)] != 0;
-    if (!in_loss) continue;
-    res.count += 1;
-    // Stable log-softmax in float over the valid columns.
-    float mx = -std::numeric_limits<float>::infinity();
-    for (int j = 0; j < valid_classes; ++j) {
-      mx = std::max(mx, logits.get(r, j));
-    }
-    double denom = 0;
-    for (int j = 0; j < valid_classes; ++j) {
-      denom += std::exp(static_cast<double>(logits.get(r, j)) - mx);
-    }
-    const int y = labels[static_cast<std::size_t>(r)];
-    const double logp =
-        static_cast<double>(logits.get(r, y)) - mx - std::log(denom);
-    loss_sum += -logp;
-
-    int argmax = 0;
-    for (int j = 1; j < valid_classes; ++j) {
-      if (logits.get(r, j) > logits.get(r, argmax)) argmax = j;
-    }
-    res.correct += argmax == y;
-
-    if (dlogits != nullptr) {
-      for (int j = 0; j < valid_classes; ++j) {
-        const double p =
-            std::exp(static_cast<double>(logits.get(r, j)) - mx) / denom;
-        const double g = (p - (j == y ? 1.0 : 0.0)) / 1.0;
-        dlogits->set(r, j, static_cast<float>(g * grad_scale));
-      }
-    }
-  }
-  // Mean reduction: fold 1/count into the gradient.
-  if (res.count > 0 && dlogits != nullptr) {
-    const float inv = static_cast<float>(1.0 / res.count);
-    for (std::int64_t r = 0; r < n; ++r) {
-      for (int j = 0; j < valid_classes; ++j) {
-        const float g = dlogits->get(r, j);
-        if (g != 0.0f) dlogits->set(r, j, g * inv);
-      }
-    }
+    const auto ri = static_cast<std::size_t>(r);
+    if (in_loss[ri] == 0) continue;
+    loss_sum -= logp[ri];
+    res.correct += hit[ri];
   }
   res.loss = res.count > 0 ? loss_sum / res.count
                            : std::numeric_limits<double>::quiet_NaN();
@@ -473,23 +535,36 @@ LossResult softmax_xent(const MTensor& logits, std::span<const int> labels,
 double masked_accuracy(const MTensor& logits, std::span<const int> labels,
                        std::span<const std::uint8_t> mask,
                        std::uint8_t expect, int valid_classes) {
-  double correct = 0, count = 0;
-  for (std::int64_t r = 0; r < logits.rows(); ++r) {
-    if (mask[static_cast<std::size_t>(r)] != expect) continue;
-    count += 1;
-    int argmax = 0;
-    bool any_nan = false;
-    for (int j = 0; j < valid_classes; ++j) {
-      const float v = logits.get(r, j);
-      if (std::isnan(v)) any_nan = true;
-      if (v > logits.get(r, argmax)) argmax = j;
-    }
-    // NaN logits never beat the running max, so argmax degenerates to
-    // column 0 — accuracy collapses toward chance, as in Fig. 1c.
-    (void)any_nan;
-    correct += argmax == labels[static_cast<std::size_t>(r)];
+  const std::int64_t rows = logits.rows(), cols = logits.cols();
+  const std::int64_t block = row_block(cols);
+  // Per row block: {correct, count}, summed in block order.
+  std::vector<std::array<std::int64_t, 2>> part(
+      static_cast<std::size_t>(ceil_div(rows, block)));
+  visit(logits, [&](const auto* lp) {
+    for_blocks(rows, block, [&](std::int64_t r0, std::int64_t r1) {
+      std::int64_t correct = 0, count = 0;
+      for (std::int64_t r = r0; r < r1; ++r) {
+        if (mask[static_cast<std::size_t>(r)] != expect) continue;
+        count += 1;
+        const auto* row = lp + r * cols;
+        // NaN logits never beat the running max, so argmax degenerates to
+        // column 0 — accuracy collapses toward chance, as in Fig. 1c.
+        int argmax = 0;
+        for (int j = 1; j < valid_classes; ++j) {
+          if (to_f(row[j]) > to_f(row[argmax])) argmax = j;
+        }
+        correct += argmax == labels[static_cast<std::size_t>(r)];
+      }
+      part[static_cast<std::size_t>(r0 / block)] = {correct, count};
+    });
+  });
+  std::int64_t correct = 0, count = 0;
+  for (const auto& [pc, pn] : part) {
+    correct += pc;
+    count += pn;
   }
-  return count > 0 ? correct / count : 0.0;
+  return count > 0 ? static_cast<double>(correct) / static_cast<double>(count)
+                   : 0.0;
 }
 
 }  // namespace hg

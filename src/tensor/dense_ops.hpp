@@ -9,11 +9,11 @@
 // half and accumulates in float (tensor-core style), elementwise f16 ops
 // round after every operation.
 //
-// gemm, axpby, add_bias_rows, relu_forward/relu_backward and scale_rows
-// split their output into jobs on a simt::Device worker pool; every output
-// element is computed by exactly one job with a fixed operation order, so
-// results are bit-identical at any pool size and on either HALFGNN_SIMD
-// path (DESIGN.md "Dense host path").
+// Every op splits its work into jobs on a simt::Device worker pool. Each
+// output element is computed by exactly one job with a fixed operation
+// order, and the loss sums its rows in row order, so results are
+// bit-identical at any pool size and on either HALFGNN_SIMD path
+// (DESIGN.md "Dense host path").
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "kernels/edge_ops.hpp"
@@ -230,6 +233,87 @@ TEST(EdgeOps, EdgeMul) {
   for (std::size_t i = 0; i < 1000; ++i) {
     ASSERT_EQ(outh[i].bits(), (ah[i] * bh[i]).bits());
   }
+}
+
+// bf16 values with several NaN payloads per row: about one edge in three is
+// a quiet or signaling NaN of random sign and payload, the rest moderate.
+AlignedVec<bf16_t> nan_heavy_bf16(std::size_t n, Rng& rng) {
+  AlignedVec<bf16_t> v(n);
+  for (auto& x : v) {
+    const std::uint64_t r = rng.next_u64();
+    if (r % 3 == 0) {
+      const auto pay = static_cast<std::uint16_t>(1 + (r >> 8) % 0x7F);
+      const auto sign = static_cast<std::uint16_t>((r >> 20 & 1) << 15);
+      x = bf16_t::from_bits(static_cast<std::uint16_t>(0x7F80 | pay | sign));
+    } else {
+      x = bf16_t(rng.next_float() * 8 - 4);
+    }
+  }
+  return v;
+}
+
+// FNV-1a over the output bits.
+std::uint64_t hash_bits(std::span<const bf16_t> v) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const bf16_t x : v) {
+    h = (h ^ x.bits()) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(EdgeOps, Bf16TrainMatchesProfiledOnNanPayloads) {
+  // Train-mode launches and profiled launches inline the bf16 arithmetic at
+  // different call sites; with two NaN operands the result must still carry
+  // the left operand's payload in both.
+  Rng rng(63);
+  const TestGraph t = make_hubby(600, 6000, rng);
+  const auto me = static_cast<std::size_t>(t.csr.num_edges());
+  const auto n = static_cast<std::size_t>(t.csr.num_vertices);
+  const auto e1 = nan_heavy_bf16(me, rng), e2 = nan_heavy_bf16(me, rng);
+  const auto r1 = nan_heavy_bf16(n, rng), r2 = nan_heavy_bf16(n, rng);
+  std::vector<eid_t> perm(me);
+  for (std::size_t i = 0; i < me; ++i) {
+    perm[i] = static_cast<eid_t>((i * 7919) % me);
+  }
+  simt::Stream& s = simt::default_stream();
+  const auto check = [&](const std::string& op, std::size_t size,
+                         auto launch) {
+    std::uint64_t h[2];
+    for (const bool profiled : {false, true}) {
+      AlignedVec<bf16_t> out(size);
+      launch(profiled, std::span<bf16_t>(out));
+      h[profiled ? 1 : 0] = hash_bits(out);
+    }
+    EXPECT_EQ(h[0], h[1]) << op << ": train vs profiled";
+  };
+  const std::span<const bf16_t> v1(e1), v2(e2), w1(r1), w2(r2);
+  check("seg max", n, [&](bool p, std::span<bf16_t> out) {
+    edge_segment_reduce<bf16_t>(s, p, t.g, v1, out, SegReduce::kMax);
+  });
+  check("seg sum", n, [&](bool p, std::span<bf16_t> out) {
+    edge_segment_reduce<bf16_t>(s, p, t.g, v1, out, SegReduce::kSum);
+  });
+  check("add_scalars", me, [&](bool p, std::span<bf16_t> out) {
+    edge_add_scalars<bf16_t>(s, p, t.g, w1, w2, out, 0.2f);
+  });
+  check("exp_sub_row", me, [&](bool p, std::span<bf16_t> out) {
+    edge_exp_sub_row<bf16_t>(s, p, t.g, v1, w1, out);
+  });
+  check("div_row", me, [&](bool p, std::span<bf16_t> out) {
+    edge_div_row<bf16_t>(s, p, t.g, v1, w1, out);
+  });
+  check("softmax_backward", me, [&](bool p, std::span<bf16_t> out) {
+    edge_softmax_backward<bf16_t>(s, p, t.g, v1, v2, w1, out);
+  });
+  check("leaky_backward", me, [&](bool p, std::span<bf16_t> out) {
+    edge_leaky_backward<bf16_t>(s, p, v1, v2, out, 0.2f);
+  });
+  check("permute", me, [&](bool p, std::span<bf16_t> out) {
+    edge_permute<bf16_t>(s, p, v1, perm, out);
+  });
+  check("mul", me, [&](bool p, std::span<bf16_t> out) {
+    edge_mul<bf16_t>(s, p, v1, v2, out);
+  });
 }
 
 }  // namespace

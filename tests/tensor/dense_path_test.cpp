@@ -3,11 +3,13 @@
 // scalar core on a one-thread pool, over operands full of IEEE edge cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -303,6 +305,211 @@ TEST(DenseOps, ElementwiseDensePathBitIdentical) {
           MTensor g = to_dtype(y0, dt, nullptr);
           relu_backward(g, mask, nullptr);
           EXPECT_EQ(bits(g), bits(rb)) << "relu_backward " << where;
+        }
+      }
+    }
+  }
+}
+
+// Serial references for the loss path: the per-element get/set loops the
+// pooled ops replaced (the loss sums rows in order, the gradient takes two
+// roundings, each column sums rows in order with the left-NaN add). Where
+// the old loops' double adds met two NaNs, the references pin what they
+// compiled to: the softmax denominator keeps the newest term's NaN, and the
+// loss subtracts each row's log-probability.
+LossResult ref_softmax_xent(const MTensor& logits, std::span<const int> labels,
+                            std::span<const std::uint8_t> mask,
+                            bool use_masked, int valid_classes,
+                            float grad_scale, MTensor* dlogits) {
+  const std::int64_t n = logits.rows();
+  LossResult res;
+  double loss_sum = 0;
+  if (dlogits != nullptr) {
+    *dlogits = MTensor::zeros(logits.dtype(), n, logits.cols());
+  }
+  for (std::int64_t r = 0; r < n; ++r) {
+    if (use_masked && mask[static_cast<std::size_t>(r)] == 0) continue;
+    res.count += 1;
+    float mx = -std::numeric_limits<float>::infinity();
+    for (int j = 0; j < valid_classes; ++j) {
+      mx = std::max(mx, logits.get(r, j));
+    }
+    double denom = 0;
+    for (int j = 0; j < valid_classes; ++j) {
+      denom = ordered_dadd(
+          std::exp(static_cast<double>(logits.get(r, j)) - mx), denom);
+    }
+    const int y = labels[static_cast<std::size_t>(r)];
+    loss_sum -= static_cast<double>(logits.get(r, y)) - mx - std::log(denom);
+    int argmax = 0;
+    for (int j = 1; j < valid_classes; ++j) {
+      if (logits.get(r, j) > logits.get(r, argmax)) argmax = j;
+    }
+    res.correct += argmax == y;
+    if (dlogits != nullptr) {
+      for (int j = 0; j < valid_classes; ++j) {
+        const double p =
+            std::exp(static_cast<double>(logits.get(r, j)) - mx) / denom;
+        const double g = p - (j == y ? 1.0 : 0.0);
+        dlogits->set(r, j, static_cast<float>(g * grad_scale));
+      }
+    }
+  }
+  if (res.count > 0 && dlogits != nullptr) {
+    const float inv = static_cast<float>(1.0 / res.count);
+    for (std::int64_t r = 0; r < n; ++r) {
+      for (int j = 0; j < valid_classes; ++j) {
+        const float g = dlogits->get(r, j);
+        if (g != 0.0f) dlogits->set(r, j, g * inv);
+      }
+    }
+  }
+  res.loss = res.count > 0 ? loss_sum / res.count
+                           : std::numeric_limits<double>::quiet_NaN();
+  return res;
+}
+
+double ref_masked_accuracy(const MTensor& logits, std::span<const int> labels,
+                           std::span<const std::uint8_t> mask,
+                           std::uint8_t expect, int valid_classes) {
+  double correct = 0, count = 0;
+  for (std::int64_t r = 0; r < logits.rows(); ++r) {
+    if (mask[static_cast<std::size_t>(r)] != expect) continue;
+    count += 1;
+    int argmax = 0;
+    for (int j = 0; j < valid_classes; ++j) {
+      if (logits.get(r, j) > logits.get(r, argmax)) argmax = j;
+    }
+    correct += argmax == labels[static_cast<std::size_t>(r)];
+  }
+  return count > 0 ? correct / count : 0.0;
+}
+
+MTensor ref_colsum(const MTensor& x) {
+  MTensor out = MTensor::f32(1, x.cols());
+  for (std::int64_t r = 0; r < x.rows(); ++r) {
+    for (std::int64_t c = 0; c < x.cols(); ++c) {
+      out.set(0, c, ordered_fadd(out.get(0, c), x.get(r, c)));
+    }
+  }
+  return out;
+}
+
+// Same dtype: a bit copy (signaling NaNs stay signaling); otherwise one
+// get/set per element.
+MTensor ref_to_dtype(const MTensor& in, Dtype dt) {
+  MTensor out = MTensor::zeros(dt, in.rows(), in.cols());
+  if (in.dtype() == dt) {
+    const auto b = bits(in);
+    visit(out, [&b](auto* p) {
+      if (!b.empty()) std::memcpy(p, b.data(), b.size());
+    });
+    return out;
+  }
+  for (std::int64_t r = 0; r < in.rows(); ++r) {
+    for (std::int64_t c = 0; c < in.cols(); ++c) {
+      out.set(r, c, in.get(r, c));
+    }
+  }
+  return out;
+}
+
+std::uint64_t dbits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+struct LossCase {
+  int rows, cols, valid;
+  bool use_masked;
+  enum Mask { kRandom, kAllZero } mask;
+  bool nan_rows;                // every fifth row's logits all NaN
+  std::uint64_t special_every;  // IEEE edge-case rate (0: none)
+  float grad_scale;
+};
+
+TEST(DenseOps, LossPathBitIdentical) {
+  const PathGuard restore;
+  const std::vector<Config> cfgs = configs();
+  Pools pools;
+  Rng rng(16);
+  const LossCase kCases[] = {
+      {1, 1, 1, true, LossCase::kRandom, false, 0, 1.0f},
+      {3, 3, 3, false, LossCase::kRandom, false, 9, 1.0f},
+      {17, 16, 11, true, LossCase::kRandom, true, 9, 1024.0f},
+      {400, 17, 17, true, LossCase::kAllZero, false, 0, 1024.0f},
+      {1000, 48, 41, true, LossCase::kRandom, false, 0, 1024.0f},
+      {1000, 64, 64, false, LossCase::kRandom, true, 0, 0.5f},
+      {6000, 48, 41, true, LossCase::kRandom, true, 97, 1024.0f},
+  };
+  for (const LossCase& lc : kCases) {
+    for (const Dtype dt : {Dtype::kF32, Dtype::kF16, Dtype::kBf16}) {
+      MTensor logits = random_tensor(
+          dt, lc.rows, lc.cols,
+          lc.special_every == 0 ? ~0ull : lc.special_every, rng);
+      if (lc.nan_rows) {
+        for (std::int64_t r = 0; r < lc.rows; r += 5) {
+          for (std::int64_t c = 0; c < lc.cols; ++c) {
+            // Quiet or signaling NaN, payload varying along the row.
+            set_special(logits, static_cast<std::size_t>(r * lc.cols + c),
+                        (2 + (c & 1)) | static_cast<std::uint64_t>(c) << 16 |
+                            static_cast<std::uint64_t>(r & 1) << 8);
+          }
+        }
+      }
+      std::vector<int> labels(static_cast<std::size_t>(lc.rows));
+      std::vector<std::uint8_t> mask(static_cast<std::size_t>(lc.rows));
+      for (std::size_t r = 0; r < labels.size(); ++r) {
+        labels[r] = static_cast<int>(rng.next_u64() %
+                                     static_cast<std::uint64_t>(lc.valid));
+        mask[r] = lc.mask == LossCase::kRandom && rng.next_u64() % 5 < 3;
+      }
+      MTensor want_d;
+      const LossResult want =
+          ref_softmax_xent(logits, labels, mask, lc.use_masked, lc.valid,
+                           lc.grad_scale, &want_d);
+      const double want_acc[2] = {
+          ref_masked_accuracy(logits, labels, mask, 0, lc.valid),
+          ref_masked_accuracy(logits, labels, mask, 1, lc.valid)};
+      const auto want_col = bits(ref_colsum(logits));
+      if (lc.mask == LossCase::kAllZero && lc.use_masked) {
+        EXPECT_EQ(want.count, 0);
+        EXPECT_TRUE(std::isnan(want.loss));
+      }
+
+      for (const Config& c : cfgs) {
+        simt::simd::set_path(c.path);
+        const DensePoolScope scope(pools.at(c.threads));
+        const std::string where =
+            name(c) + " " + std::string(dtype_name(dt)) + " " +
+            std::to_string(lc.rows) + "x" + std::to_string(lc.cols) +
+            " valid=" + std::to_string(lc.valid);
+
+        MTensor d;
+        const LossResult got =
+            softmax_xent(logits, labels, mask, lc.use_masked, lc.valid,
+                         lc.grad_scale, &d, nullptr);
+        EXPECT_EQ(dbits(got.loss), dbits(want.loss)) << "loss " << where;
+        EXPECT_EQ(got.count, want.count) << "count " << where;
+        EXPECT_EQ(got.correct, want.correct) << "correct " << where;
+        EXPECT_EQ(bits(d), bits(want_d)) << "dlogits " << where;
+        const LossResult eval =
+            softmax_xent(logits, labels, mask, lc.use_masked, lc.valid,
+                         lc.grad_scale, nullptr, nullptr);
+        EXPECT_EQ(dbits(eval.loss), dbits(want.loss)) << "eval " << where;
+
+        for (const std::uint8_t e : {0, 1}) {
+          EXPECT_EQ(dbits(masked_accuracy(logits, labels, mask, e, lc.valid)),
+                    dbits(want_acc[e]))
+              << "masked_accuracy expect=" << int(e) << " " << where;
+        }
+
+        MTensor col = MTensor::f32(1, lc.cols);
+        col.fill(1.0f);  // every element must be overwritten
+        colsum(logits, col, nullptr);
+        EXPECT_EQ(bits(col), want_col) << "colsum " << where;
+
+        for (const Dtype to : {Dtype::kF32, Dtype::kF16, Dtype::kBf16}) {
+          EXPECT_EQ(bits(to_dtype(logits, to, nullptr)),
+                    bits(ref_to_dtype(logits, to)))
+              << "to_dtype -> " << dtype_name(to) << " " << where;
         }
       }
     }
